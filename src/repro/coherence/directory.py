@@ -27,6 +27,7 @@ for Figure 9c.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError, ProtocolError
@@ -89,18 +90,24 @@ class DirectoryEntry:
                 f"sharers={self.sharers:#x}, bcast={self.broadcast})")
 
 
+#: Segment classes in slot order. Per-class tallies are lists indexed by
+#: slot; ``tuple.index`` finds a class's slot by identity in C, so the
+#: alloc/free hot path never calls the Python-level ``Enum.__hash__``.
+_CLASSES = tuple(SegmentClass)
+
+
 class _Occupancy:
     """Time-weighted entry-count accounting for one bank (Figure 9c)."""
 
-    __slots__ = ("last_time", "weighted", "weighted_by_class",
-                 "count", "count_by_class", "max_count")
+    __slots__ = ("last_time", "weighted", "weighted_by_slot",
+                 "count", "count_by_slot", "max_count")
 
     def __init__(self) -> None:
         self.last_time = 0.0
         self.weighted = 0.0
-        self.weighted_by_class = {klass: 0.0 for klass in SegmentClass}
+        self.weighted_by_slot = [0.0] * len(_CLASSES)
         self.count = 0
-        self.count_by_class = {klass: 0 for klass in SegmentClass}
+        self.count_by_slot = [0] * len(_CLASSES)
         self.max_count = 0
 
     def advance(self, now: float) -> None:
@@ -108,22 +115,23 @@ class _Occupancy:
         if dt <= 0:
             return
         self.weighted += self.count * dt
-        for klass, count in self.count_by_class.items():
+        weighted = self.weighted_by_slot
+        for slot, count in enumerate(self.count_by_slot):
             if count:
-                self.weighted_by_class[klass] += count * dt
+                weighted[slot] += count * dt
         self.last_time = now
 
     def on_alloc(self, now: float, klass: SegmentClass) -> None:
         self.advance(now)
         self.count += 1
-        self.count_by_class[klass] += 1
+        self.count_by_slot[_CLASSES.index(klass)] += 1
         if self.count > self.max_count:
             self.max_count = self.count
 
     def on_free(self, now: float, klass: SegmentClass) -> None:
         self.advance(now)
         self.count -= 1
-        self.count_by_class[klass] -= 1
+        self.count_by_slot[_CLASSES.index(klass)] -= 1
 
     def average(self, end_time: float) -> float:
         """Time-weighted mean entry count over ``[0, end_time]``.
@@ -143,9 +151,9 @@ class _Occupancy:
         self.advance(end_time)
         if end_time <= 0:
             return {klass: float(count)
-                    for klass, count in self.count_by_class.items()}
+                    for klass, count in zip(_CLASSES, self.count_by_slot)}
         return {klass: weighted / end_time
-                for klass, weighted in self.weighted_by_class.items()}
+                for klass, weighted in zip(_CLASSES, self.weighted_by_slot)}
 
 
 class BaseDirectory:
@@ -282,7 +290,7 @@ class BaseDirectory:
                 raise ProtocolError(
                     f"directory restore overflowed a set at {line:#x}")
             self.occupancy.count += 1
-            self.occupancy.count_by_class[klass] += 1
+            self.occupancy.count_by_slot[_CLASSES.index(klass)] += 1
         self.occupancy.max_count = self.occupancy.count
 
     def invalidation_targets(self, entry: DirectoryEntry, n_clusters: int,
@@ -335,24 +343,40 @@ class SparseDirectory(BaseDirectory):
             raise ConfigError(f"bad directory geometry: {n_entries} x {assoc}-way")
         self.n_sets = n_entries // assoc
         self.assoc = assoc
-        self.sets: List[Dict[int, DirectoryEntry]] = [dict() for _ in range(self.n_sets)]
+        # Each set is kept in ascending ``lru`` order (see :meth:`touch`),
+        # so its head is the LRU victim at any associativity.
+        self.sets: List[OrderedDict[int, DirectoryEntry]] = [
+            OrderedDict() for _ in range(self.n_sets)]
         # Indices of non-empty sets (dict used as an ordered set): banks
         # have thousands of sets but a handful of active entries, so
         # whole-bank walks must not touch the empty ones.
         self._occupied: Dict[int, None] = {}
 
-    def _set_of(self, line: int) -> Dict[int, DirectoryEntry]:
+    def _set_of(self, line: int) -> OrderedDict[int, DirectoryEntry]:
         return self.sets[line % self.n_sets]
 
     def get(self, line: int) -> Optional[DirectoryEntry]:
         return self._set_of(line).get(line)
 
+    def touch(self, entry: DirectoryEntry) -> None:
+        """Bump ``entry``'s tick and move it to the end of its set.
+
+        An entry not (yet) resident -- ``allocate`` touches before it
+        inserts -- only takes the tick.
+        """
+        self._tick += 1
+        entry.lru = self._tick
+        line = entry.line
+        bucket = self.sets[line % self.n_sets]
+        if bucket.get(line) is entry:
+            bucket.move_to_end(line)
+
     def _insert(self, entry: DirectoryEntry) -> Optional[DirectoryEntry]:
+        """Append the just-touched ``entry``; evict the set's head if full."""
         bucket = self._set_of(entry.line)
         victim = None
         if len(bucket) >= self.assoc:
-            victim_line = min(bucket, key=lambda ln: bucket[ln].lru)
-            victim = bucket.pop(victim_line)
+            victim = bucket.popitem(last=False)[1]
         bucket[entry.line] = entry
         self._occupied[entry.line % self.n_sets] = None
         return victim

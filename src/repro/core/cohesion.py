@@ -169,8 +169,8 @@ class MemorySystem:
             for bank_dir in self.dirs:
                 bank_dir.global_occupancy = self.dir_occupancy
                 self.dir_occupancy.count += bank_dir.occupancy.count
-                for klass, count in bank_dir.occupancy.count_by_class.items():
-                    self.dir_occupancy.count_by_class[klass] += count
+                for slot, count in enumerate(bank_dir.occupancy.count_by_slot):
+                    self.dir_occupancy.count_by_slot[slot] += count
             self.dir_occupancy.max_count = self.dir_occupancy.count
         self.fine.restore(snap["fine"])
         self.backing.restore(snap["backing"])
@@ -421,6 +421,7 @@ class MemorySystem:
             reply = plans.read_line(cluster_id, line, now, instruction)
             if reply is not None:
                 return reply
+            plans.fallthrough += 1
         if instruction:
             self.counters.instruction_request += 1
         else:
@@ -478,6 +479,7 @@ class MemorySystem:
             reply = plans.write_line_request(cluster_id, line, now)
             if reply is not None:
                 return reply
+            plans.fallthrough += 1
         self.counters.write_request += 1
         if self.profiler is not None:
             self.profiler.note(line, self.profiler.WRITE, cluster_id)
@@ -514,6 +516,7 @@ class MemorySystem:
             done = plans.upgrade_request(cluster_id, line, now)
             if done is not None:
                 return done
+            plans.fallthrough += 1
         self.counters.write_request += 1
         if self.profiler is not None:
             self.profiler.note(line, self.profiler.WRITE, cluster_id)
@@ -554,6 +557,7 @@ class MemorySystem:
                                    releases_ownership)
             if done is not None:
                 return done
+            plans.fallthrough += 1
         if message is MessageType.SOFTWARE_FLUSH:
             self.counters.software_flush += 1
             if self.profiler is not None:
@@ -593,6 +597,7 @@ class MemorySystem:
             done = plans.read_release(cluster_id, line, now)
             if done is not None:
                 return done
+            plans.fallthrough += 1
         self.counters.read_release += 1
         if self.obs.active:
             self._emit_msg(now, cluster_id, line,

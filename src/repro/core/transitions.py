@@ -78,6 +78,7 @@ class TransitionEngine:
             r = plans.to_swcc(cluster_id, line, now)
             if r is not None:
                 return r
+            plans.fallthrough += 1
         t = ms.table_update(cluster_id, line, now)
         t = self._to_swcc_line_work(line, t)
         self.to_swcc_count += 1
@@ -115,6 +116,7 @@ class TransitionEngine:
             r = plans.to_hwcc(cluster_id, line, now)
             if r is not None:
                 return r
+            plans.fallthrough += 1
         t = ms.table_update(cluster_id, line, now)
         t = self._to_hwcc_line_work(line, t)
         self.to_hwcc_count += 1

@@ -467,7 +467,12 @@ class PlanCache:
         self.generation = 0
         self.compiled = 0
         self.replayed = 0
+        #: Dispatches answered by the negative cache (no plan for the
+        #: signature); a subset of ``fallthrough``.
         self.interpreted = 0
+        #: Dispatches that returned None for any reason, counted by the
+        #: callers: replayed + fallthrough == dispatch calls.
+        self.fallthrough = 0
         #: Plan source by signature, kept for tests and selfcheck S005.
         self.sources: dict = {}
         self._read: dict = {}
@@ -601,6 +606,7 @@ class PlanCache:
             "compiled": self.compiled,
             "replayed": self.replayed,
             "interpreted": self.interpreted,
+            "fallthrough": self.fallthrough,
             "generation": self.generation,
             "signatures": sorted(str(k) for k in self.sources),
         }

@@ -132,6 +132,93 @@ class TestSparseDirectory:
         assert directory.get(3) is None
 
 
+#: (entries, ways): set-associative and fully associative geometries.
+GEOMETRIES = [(8, 2), (64, 8), (8, 8), (256, 256)]
+
+replacement_ops = st.lists(
+    st.tuples(st.sampled_from(("allocate", "touch", "add_sharer",
+                               "remove_sharer", "deallocate", "restore")),
+              st.integers(0, 1 << 20),     # line, folded into the pool
+              st.integers(0, 15)),         # cluster
+    min_size=1, max_size=80)
+
+
+class TestReplacementOrder:
+    """Victims match a reference model that evicts the minimum tick."""
+
+    @pytest.mark.parametrize("cls", [SparseDirectory,
+                                     LimitedPointerDirectory])
+    @pytest.mark.parametrize("n_entries,assoc", GEOMETRIES)
+    @settings(max_examples=30, deadline=None)
+    @given(ops=replacement_ops)
+    def test_victims_match_min_lru_model(self, cls, n_entries, assoc, ops):
+        directory = cls(n_entries, assoc)
+        n_sets = directory.n_sets
+        pool = 2 * n_entries       # half the pool fits at once
+        model = {}                 # resident line -> reference tick
+        clock = 0
+        probes = 0
+
+        def tick(line):
+            nonlocal clock
+            clock += 1
+            model[line] = clock
+
+        def expected_victim(line):
+            rivals = [ln for ln in model if ln % n_sets == line % n_sets]
+            if len(rivals) < assoc:
+                return None
+            return min(rivals, key=model.__getitem__)
+
+        def allocate(target, line):
+            expect = expected_victim(line)
+            entry, victim = target.allocate(line, HEAP, float(clock))
+            assert (victim and victim.line) == expect
+            return entry, victim
+
+        # Fill every way first so evictions start at once.
+        for line in range(n_entries):
+            directory.allocate(line, HEAP, 0.0)
+            tick(line)
+        for op, raw, cluster in ops:
+            line = raw % pool
+            entry = directory.get(line)
+            assert (entry is not None) == (line in model)
+            if op == "allocate" and entry is None:
+                _entry, victim = allocate(directory, line)
+                if victim is not None:
+                    del model[victim.line]
+                tick(line)
+            elif op == "touch" and entry is not None:
+                directory.touch(entry)
+                tick(line)
+            elif op == "add_sharer" and entry is not None:
+                directory.add_sharer(entry, cluster)
+                tick(line)
+            elif op == "remove_sharer" and entry is not None:
+                directory.remove_sharer(entry, cluster)
+            elif op == "deallocate" and entry is not None:
+                directory.deallocate(entry, float(clock))
+                del model[line]
+            elif op == "restore":
+                # A restored copy evicts the same victim as the original
+                # on the next allocation into the same set.
+                copy = cls(n_entries, assoc)
+                copy.restore(directory.snapshot())
+                probes += 1
+                probe = pool + probes * n_sets + line % n_sets
+                _e, victim = allocate(directory, probe)
+                _e, copy_victim = allocate(copy, probe)
+                assert (victim and victim.line) == \
+                    (copy_victim and copy_victim.line)
+                if victim is not None:
+                    del model[victim.line]
+                tick(probe)
+                directory = copy
+        assert [row[0] for row in directory.snapshot()] == \
+            sorted(model, key=model.__getitem__)
+
+
 class TestLimitedPointerDirectory:
     def test_overflow_sets_broadcast(self):
         directory = LimitedPointerDirectory(64, 8)
@@ -186,8 +273,9 @@ class TestOccupancyAccounting:
         # integral: 1*10 + 2*10 + 1*10 = 40 entry-cycles over 30
         assert occ.weighted == pytest.approx(40.0)
         assert occ.max_count == 2
-        assert occ.weighted_by_class[HEAP] == pytest.approx(20.0)
-        assert occ.weighted_by_class[STACK] == pytest.approx(20.0)
+        by_class = occ.average_by_class(30.0)
+        assert by_class[HEAP] * 30.0 == pytest.approx(20.0)
+        assert by_class[STACK] * 30.0 == pytest.approx(20.0)
 
     def test_advance_is_idempotent(self):
         occ = _Occupancy()

@@ -226,3 +226,37 @@ class TestInvalidation:
         stats = planned.memsys._plans.stats()
         assert stats["compiled"] > 0, "post-flip traffic must recompile"
         assert stats["replayed"] > 0
+
+
+class TestDispatchCounters:
+    """Every miss-path dispatch is counted as replayed or fallen through."""
+
+    MISS_PATH = ("read_line", "write_line_request", "upgrade_request",
+                 "writeback", "read_release")
+
+    def test_replayed_plus_fallthrough_is_every_miss_path_call(
+            self, monkeypatch):
+        from repro.analysis.experiments import ExperimentConfig, run_workload
+
+        monkeypatch.delenv("REPRO_PLANS", raising=False)
+        calls = []
+
+        def count_calls(machine, _program):
+            ms = machine.memsys
+            for name in self.MISS_PATH:
+                def counted(*args, _orig=getattr(ms, name), **kwargs):
+                    calls.append(1)
+                    return _orig(*args, **kwargs)
+                setattr(ms, name, counted)
+
+        # A Fig. 9 point: 256-entry fully associative directories, so
+        # allocations that would evict fall through before any plan.
+        stats, machine = run_workload(
+            "kmeans", Policy.hwcc_real(entries_per_bank=256, assoc=256),
+            ExperimentConfig(n_clusters=4, scale=0.2),
+            instrument=count_calls)
+        plans = machine.memsys._plans.stats()
+        assert stats.dir_evictions > 0
+        assert plans["fallthrough"] > plans["interpreted"]
+        assert plans["replayed"] > 0
+        assert plans["replayed"] + plans["fallthrough"] == len(calls)
