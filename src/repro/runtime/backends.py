@@ -1,51 +1,11 @@
-"""Executor backend registry: ``interp`` (default) and ``vec``.
+"""Executor backend names: the interpreter is the only backend.
 
-The interpreter is the zero-dependency reference; the vectorized
-backend builds its freeze-time column tables with numpy, installed via
-the ``vec`` extra (``pip install repro[vec]``). Selection flows through
-one chokepoint so the CLI, the experiment configs, and the bench
-harness all agree on names and on the error message when numpy is
-missing.
+Kept as the one place that names the accepted ``backend`` values of
+:meth:`repro.sim.machine.Machine.run`, ``ExperimentConfig.backend`` and
+the ``repro serve`` wire format.
 """
 
-from __future__ import annotations
-
-from repro.errors import SimulationError
-from repro.runtime.executor import BspExecutor
-
-#: Recognised backend names, in help-text order.
-BACKENDS = ("interp", "vec")
+#: Recognised backend names.
+BACKENDS = ("interp",)
 
 DEFAULT_BACKEND = "interp"
-
-
-def numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def resolve_backend(name):
-    """Map a backend name to an executor class.
-
-    ``None`` or the empty string selects the default interpreter.
-    Raises :class:`SimulationError` for unknown names, and for ``vec``
-    when numpy is not importable (naming the packaging extra so the fix
-    is one pip invocation away).
-    """
-    if not name or name == "interp":
-        return BspExecutor
-    if name == "vec":
-        if not numpy_available():
-            raise SimulationError(
-                "backend 'vec' requires numpy, which is not installed; "
-                "install the optional extra with 'pip install repro[vec]' "
-                "(or plain 'pip install numpy'), or use --backend interp")
-        from repro.runtime.vec import VecExecutor
-        return VecExecutor
-    raise SimulationError(
-        f"unknown backend {name!r} (from --backend or the "
-        f"REPRO_BACKEND environment variable); registered backends: "
-        f"{', '.join(BACKENDS)}")

@@ -3,7 +3,7 @@
 The protocol slow path -- ``MemorySystem.read_line`` /
 ``write_line_request`` / ``upgrade_request`` / ``writeback`` /
 ``read_release`` and the single-line domain transitions -- dominates the
-wall once the hit path is vectorized. Each of those walks re-executes
+wall time of miss-heavy runs. Each of those walks re-executes
 the same Python decision tree per miss: resolve the domain, consult the
 directory, reserve network legs and the bank port, touch the L3 data
 array, reply. For a given *control signature* the walk is identical

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig, Policy
 from repro.core.cohesion import MemorySystem
+from repro.errors import SimulationError
 from repro.runtime.layout import AddressLayout
 from repro.sim.cluster import Cluster
 from repro.sim.stats import RunStats
@@ -82,15 +83,14 @@ class Machine:
             backend: str = "interp") -> RunStats:
         """Execute a BSP program to completion and return its stats.
 
-        ``backend`` selects the executor: ``"interp"`` (the reference
-        interpreter, default) or ``"vec"`` (the vectorized batch
-        backend, bit-identical, requires numpy).
+        ``backend`` must be ``"interp"``, the only executor.
         """
-        from repro.runtime.backends import resolve_backend
+        from repro.runtime.executor import BspExecutor
 
-        executor_cls = resolve_backend(backend)
-        executor = executor_cls(self, program, ops_per_slice=ops_per_slice)
-        return executor.run()
+        if backend != "interp":
+            raise SimulationError(
+                f"unknown backend {backend!r}; the only backend is 'interp'")
+        return BspExecutor(self, program, ops_per_slice=ops_per_slice).run()
 
     # -- functional-data helpers (track_data machines only) ----------------------
     def drain_caches(self) -> None:

@@ -2,10 +2,9 @@
 
 dmm and heat evaluate their reference results (matrix product, Jacobi
 recurrence) with numpy at build time. The package itself must import --
-and the interpreter backend must run every numpy-free kernel -- without
-numpy installed, so those workloads pull it in lazily and fail with an
-error naming the packaging extra instead of an ImportError at import
-time.
+and every numpy-free kernel must run -- without numpy installed, so
+those workloads pull it in lazily and fail with an error naming the
+packaging extra instead of an ImportError at import time.
 """
 
 from __future__ import annotations
@@ -21,6 +20,6 @@ def require_numpy(workload: str):
         raise SimulationError(
             f"workload {workload!r} generates its dataset with numpy, "
             "which is not installed; install the optional extra with "
-            "'pip install repro[vec]' (or plain 'pip install numpy')"
+            "'pip install repro[workloads]' (or plain 'pip install numpy')"
         ) from None
     return numpy

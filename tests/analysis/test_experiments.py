@@ -15,6 +15,8 @@ from repro.analysis.report import (MESSAGE_HEADERS, format_table,
                                    short_message_headers)
 from repro.config import Policy
 
+from tests.conftest import needs_numpy
+
 TINY = ExperimentConfig(n_clusters=2, scale=0.12)
 KERNELS = ("gjk", "mri")
 
@@ -47,12 +49,14 @@ class TestDrivers:
         assert all(v > 0 for v in sweep.values())
         assert sweep[64] >= sweep[4096] * 0.95  # smaller is never faster
 
+    @needs_numpy
     def test_directory_sweep_hybrid_flat(self):
         hwcc = run_directory_sweep(("heat",), sizes=(64,), exp=TINY)
         cohesion = run_directory_sweep(("heat",), sizes=(64,), hybrid=True,
                                        exp=TINY)
         assert cohesion["heat"][64] < hwcc["heat"][64]
 
+    @needs_numpy
     def test_directory_occupancy(self):
         results = run_directory_occupancy(("heat",), exp=TINY)
         entry = results["heat"]
@@ -67,6 +71,7 @@ class TestDrivers:
         assert row["Cohesion"] == pytest.approx(1.0)
         assert all(v > 0 for v in row.values())
 
+    @needs_numpy
     def test_stack_only_ablation_ordering(self):
         results = run_stack_only_ablation(("heat",), exp=TINY)
         row = results["heat"]

@@ -6,6 +6,8 @@ from repro.analysis.experiments import ExperimentConfig
 from repro.analysis.validate import (ClaimResult, format_scorecard,
                                      run_validation)
 
+from tests.conftest import needs_numpy
+
 
 class TestClaimResult:
     def test_str_pass_fail(self):
@@ -23,6 +25,7 @@ class TestClaimResult:
 
 
 @pytest.mark.slow
+@needs_numpy
 class TestRunValidation:
     def test_all_claims_pass_at_small_scale(self):
         exp = ExperimentConfig(n_clusters=2, scale=1.0)

@@ -5,6 +5,10 @@ import pytest
 from repro.bench import BenchDocError, compare_runs, run_bench, select_specs
 from repro.bench.report import format_bench_table, summary_markdown
 
+from tests.conftest import needs_numpy
+
+pytestmark = needs_numpy
+
 
 def _specs():
     return select_specs("heat")

@@ -4,6 +4,30 @@ import pytest
 
 from repro import Machine, MachineConfig, Policy
 
+try:
+    import numpy  # noqa: F401
+    HAVE_NUMPY = True
+except ImportError:  # exercised by the no-numpy CI job
+    HAVE_NUMPY = False
+
+#: Workloads whose dataset generators need numpy (``repro[workloads]``).
+NUMPY_WORKLOADS = frozenset({"dmm", "heat"})
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="needs numpy (the repro[workloads] extra)")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Without numpy, skip every test parametrized over dmm or heat."""
+    if HAVE_NUMPY:
+        return
+    for item in items:
+        callspec = getattr(item, "callspec", None)
+        if callspec is not None and any(
+                isinstance(value, str) and value in NUMPY_WORKLOADS
+                for value in callspec.params.values()):
+            item.add_marker(needs_numpy)
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_cache_dir(tmp_path_factory):

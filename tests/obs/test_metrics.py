@@ -10,6 +10,8 @@ from repro.obs.metrics import (CounterSeries, DirectoryOccupancySampler,
                                MessageRateSampler, MetricsRegistry,
                                stats_metrics)
 
+from tests.conftest import needs_numpy
+
 
 class TestSeries:
     def test_counter_series_buckets(self):
@@ -114,6 +116,7 @@ class TestRegistryIntegration:
         for mtype, count in stats.message_breakdown().items():
             assert sampled.get(mtype.value, 0.0) == float(count), mtype
 
+    @needs_numpy
     def test_flush_counters_match_stats(self):
         stats, _machine, registry = _run_with_registry("heat", Policy.swcc())
         sampler = registry.samplers["flush_usefulness"]

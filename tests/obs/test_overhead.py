@@ -16,6 +16,8 @@ import pytest
 from repro.analysis.experiments import ExperimentConfig, run_workload
 from repro.cli import policy_from_name
 
+from tests.conftest import needs_numpy
+
 GOLDEN = pathlib.Path(__file__).with_name("golden_driver.json")
 
 #: The pinned driver cells; must match the golden file's keys.
@@ -62,6 +64,7 @@ class TestGoldenBitIdentity:
         assert machine.obs.emitted == 0
 
 
+@needs_numpy
 class TestBenchBaseline:
     def test_compare_against_committed_baseline(self):
         from repro.bench import (compare_runs, default_baseline_path,

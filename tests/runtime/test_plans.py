@@ -12,18 +12,26 @@ small line pool spanning both heaps, from cores in different clusters,
 across all three policies -- random directory states arise organically
 from the interleavings. The directed half pins the invalidation
 contract: a ``region.valid`` flip mid-run must drop every compiled plan
-and recompile, never replay stale domain classifications.
+and recompile, never replay stale domain classifications. The
+whole-program half runs every paper kernel, and random well-synchronised
+BSP programs from the tier-1 generator, through the executor on both
+machines.
 """
 
 import pytest
 
 from repro import Policy
 from repro.runtime.executor import _add
+from repro.runtime.program import Phase, Program, Task
+from repro.types import OP_STORE
+from repro.workloads import ALL_WORKLOADS, get_workload
 from tests.conftest import make_machine
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+from tests.test_random_bsp_programs import bsp_programs  # noqa: E402
 
 COHERENT_HEAP = 0x2000_0000
 INCOHERENT_HEAP = 0x4000_0000
@@ -175,6 +183,86 @@ class TestDirectedEquality:
         stats = planned.memsys._plans.stats()
         assert stats["compiled"] > 0
         assert stats["replayed"] > 0
+
+
+def _run_program(machine, program, expected):
+    """Everything a whole-program run reports, for twin comparison."""
+    stats = machine.run(program)
+    checked = (machine.verify_expected(expected)
+               if machine.config.track_data else [])
+    return stats.as_dict(), stats.load_mismatches, checked
+
+
+def _kernel_twins(workload, policy_name, monkeypatch, track_data=True,
+                  scale=0.5, observe=False):
+    """Run one paper kernel on plans-on/plans-off twins and require
+    equal stats, values, snapshots and (if ``observe``) obs streams."""
+    planned, interp = _twin_machines(policy_name, monkeypatch, track_data)
+    outs, streams = [], []
+    for machine in (planned, interp):
+        program = get_workload(workload, scale=scale,
+                               seed=1234).build(machine)
+        streams.append(_record_obs(machine) if observe else None)
+        outs.append(_run_program(machine, program, program.expected))
+    _assert_equal(planned, interp, *outs, *streams)
+    assert outs[0][1] == [] and outs[0][2] == []
+    assert planned.memsys._plans.stats()["replayed"] > 0
+
+
+class TestKernelEquality:
+    """Every paper kernel end to end, plan-compiled vs interpreted."""
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @pytest.mark.parametrize("workload", ALL_WORKLOADS)
+    def test_all_kernels_all_policies(self, workload, policy_name,
+                                      monkeypatch):
+        _kernel_twins(workload, policy_name, monkeypatch)
+
+    @pytest.mark.parametrize("workload", ["kmeans", "gjk"])
+    def test_untracked_data(self, workload, monkeypatch):
+        """track_data=False turns the value plumbing off."""
+        _kernel_twins(workload, "cohesion", monkeypatch, track_data=False)
+
+
+class TestObsStreamEquality:
+    """Observed whole-program runs announce identical event streams."""
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_kmeans_stream(self, policy_name, monkeypatch):
+        _kernel_twins("kmeans", policy_name, monkeypatch, scale=0.4,
+                      observe=True)
+
+    def test_store_heavy_stream(self, monkeypatch):
+        """Same-line store runs, each store announcing itself."""
+        base = INCOHERENT_HEAP
+        ops = [(OP_STORE, base + 4 * word, 7_000 + word)
+               for word in range(8) for _ in range(3)]
+        task = Task(ops=ops, flush_lines=[base >> 5],
+                    input_lines=[base >> 5], stack_words=2)
+        program = Program("stores", [Phase("p0", [task], code_addr=0x10000,
+                                           code_lines=1)])
+        planned, interp = _twin_machines("swcc", monkeypatch)
+        streams = [_record_obs(machine) for machine in (planned, interp)]
+        outs = [_run_program(machine, program, {})
+                for machine in (planned, interp)]
+        _assert_equal(planned, interp, *outs, *streams)
+        assert streams[0]
+
+
+class TestRandomProgramEquality:
+    """The tier-1 BSP program generator, plan-compiled vs interpreted."""
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(built=bsp_programs())
+    def test_random_programs(self, policy_name, built, monkeypatch):
+        program, expected = built
+        planned, interp = _twin_machines(policy_name, monkeypatch)
+        outs = [_run_program(machine, program, expected)
+                for machine in (planned, interp)]
+        _assert_equal(planned, interp, *outs)
+        assert outs[0][1] == [] and outs[0][2] == []
 
 
 class TestInvalidation:

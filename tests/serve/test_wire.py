@@ -29,11 +29,11 @@ class TestDecodeCell:
         cell = decode_cell({
             "workload": "kmeans", "policy": "swcc", "clusters": 2,
             "scale": 0.12, "seed": 7, "ops_per_slice": 4,
-            "backend": "vec", "track_data": True, "label": "mine",
+            "backend": "interp", "track_data": True, "label": "mine",
             "config": {"l2_bytes": 8192}})
         assert cell.label == "mine"
         assert cell.exp.n_clusters == 2 and cell.exp.seed == 7
-        assert cell.exp.backend == "vec"
+        assert cell.exp.backend == "interp"
         assert dict(cell.config_extra) == {"l2_bytes": 8192}
 
     @pytest.mark.parametrize("patch,needle", [
@@ -49,6 +49,7 @@ class TestDecodeCell:
         ({"config": {"no_such_knob": 1}}, "no_such_knob"),
         ({"config": {"l2_bytes": [1]}}, "scalar"),
         ({"config": "x"}, "config"),
+        ({"backend": "vec"}, "unknown backend"),
     ])
     def test_bad_cells_name_the_field(self, patch, needle):
         with pytest.raises(WireError, match=needle):

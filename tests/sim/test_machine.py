@@ -36,6 +36,13 @@ class TestWiring:
         hwcc_machine.reset_message_counters()
         assert hwcc_machine.memsys.counters.total() == 0
 
+    def test_run_rejects_unknown_backend(self, swcc_machine):
+        from repro.errors import SimulationError
+        from repro.runtime.program import Program
+
+        with pytest.raises(SimulationError, match="unknown backend 'vec'"):
+            swcc_machine.run(Program("empty", []), backend="vec")
+
 
 class TestDrainAndVerify:
     def test_drain_pushes_dirty_l2_data(self, hwcc_machine):

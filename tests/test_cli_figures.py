@@ -4,6 +4,10 @@ import pytest
 
 from repro.cli import main
 
+from tests.conftest import needs_numpy
+
+pytestmark = needs_numpy
+
 
 @pytest.fixture
 def tiny(monkeypatch):

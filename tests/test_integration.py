@@ -5,7 +5,7 @@ import pytest
 from repro import Domain, Machine, MachineConfig, Policy, get_workload
 from repro.errors import CoherenceRaceError
 
-from tests.conftest import make_machine
+from tests.conftest import make_machine, needs_numpy
 
 
 class TestFigure1Scenario:
@@ -138,6 +138,7 @@ class TestCrossPolicyConsistency:
             results[label] = machine.run(program).total_messages
         assert results["hwcc"] > results["swcc"]
 
+    @needs_numpy
     def test_cohesion_uses_less_directory_than_hwcc(self):
         """The Figure 9c direction."""
         results = {}

@@ -25,16 +25,13 @@ class TestTreeIsClean:
         assert "0 finding(s)" in proc.stdout
 
 
-def fake_tree(tmp_path, cluster_src, executor_src, vec_src=None):
+def fake_tree(tmp_path, cluster_src, executor_src):
     root = tmp_path / "src" / "repro"
     (root / "sim").mkdir(parents=True)
     (root / "runtime").mkdir(parents=True)
     (root / "sim" / "cluster.py").write_text(textwrap.dedent(cluster_src))
     (root / "runtime" / "executor.py").write_text(
         textwrap.dedent(executor_src))
-    if vec_src is None:
-        vec_src = GOOD_VEC
-    (root / "runtime" / "vec.py").write_text(textwrap.dedent(vec_src))
     return root
 
 
@@ -84,27 +81,10 @@ GOOD_EXECUTOR = """
 """
 
 
-#: The vec backend's per-op fallback carries the same dispatch shape as
-#: the interpreter, so the emit-hook rule pins it identically.
-GOOD_VEC = GOOD_EXECUTOR.replace("BspExecutor", "VecExecutor")
-
-
 class TestS001EmitHooks:
     def test_well_formed_tree_passes(self, tmp_path):
         root = fake_tree(tmp_path, GOOD_CLUSTER, GOOD_EXECUTOR)
         assert selfcheck.check_emit_hooks(root) == []
-
-    def test_vec_fast_path_dropping_its_hook_flagged(self, tmp_path):
-        broken = GOOD_VEC.replace(
-            """\
-                    elif obs_active:
-                        obs.emit(ObsEvent(0, EV_LOAD, op[1]))
-""", "")
-        root = fake_tree(tmp_path, GOOD_CLUSTER, GOOD_EXECUTOR, broken)
-        findings = selfcheck.check_emit_hooks(root)
-        assert any(f.rule == "S001" and "runtime/vec.py" in f.path
-                   and "OP_LOAD" in f.message and "EV_LOAD" in f.message
-                   for f in findings)
 
     def test_cluster_method_losing_its_emit_flagged(self, tmp_path):
         broken = GOOD_CLUSTER.replace(
@@ -310,72 +290,6 @@ def classify(action):
         findings = self.scan(actions=GOOD_ACTIONS + compares)
         assert any("'inv'" in f.message for f in findings)
         assert any("'evict'" in f.message for f in findings)
-
-
-GOOD_VEC_TABLES = '''
-VEC_OPCODES = frozenset({"OP_LOAD"})
-VEC_FALLBACK = frozenset({"OP_STORE", "OP_IFETCH", "OP_ATOMIC",
-                          "OP_WB", "OP_INV"})
-'''
-
-
-class TestS004VecOpcodeTable:
-    def scan(self, executor=GOOD_EXECUTOR, vec=GOOD_VEC_TABLES):
-        return selfcheck.scan_vec_opcode_table(
-            textwrap.dedent(executor), textwrap.dedent(vec))
-
-    def test_real_tree_passes(self):
-        assert selfcheck.check_vec_opcode_table() == []
-
-    def test_complete_tables_pass(self):
-        assert self.scan() == []
-
-    def test_new_interpreter_opcode_without_routing_flagged(self):
-        grown = GOOD_EXECUTOR.replace(
-            """\
-                elif kind == OP_INV:
-                    cluster.invalidate_line(op[1])
-""",
-            """\
-                elif kind == OP_INV:
-                    cluster.invalidate_line(op[1])
-                elif kind == OP_PREFETCH:
-                    cluster.prefetch(op[1])
-""")
-        findings = self.scan(executor=grown)
-        assert any(f.rule == "S004" and "OP_PREFETCH" in f.message
-                   and "neither" in f.message for f in findings)
-
-    def test_stale_table_entry_flagged(self):
-        stale = GOOD_VEC_TABLES.replace('"OP_INV"', '"OP_INV", "OP_PREFETCH"')
-        findings = self.scan(vec=stale)
-        assert any("'OP_PREFETCH'" in f.message and "stale" in f.message
-                   for f in findings)
-
-    def test_overlapping_tables_flagged(self):
-        overlap = GOOD_VEC_TABLES.replace('"OP_STORE"',
-                                          '"OP_STORE", "OP_LOAD"')
-        findings = self.scan(vec=overlap)
-        assert any("both" in f.message and "OP_LOAD" in f.message
-                   for f in findings)
-
-    def test_missing_table_flagged(self):
-        findings = self.scan(vec='VEC_OPCODES = frozenset({"OP_LOAD"})\n')
-        assert any("VEC_FALLBACK" in f.message and "not found" in f.message
-                   for f in findings)
-
-    def test_computed_table_flagged(self):
-        computed = GOOD_VEC_TABLES.replace(
-            'VEC_OPCODES = frozenset({"OP_LOAD"})',
-            'VEC_OPCODES = frozenset(op for op in KINDS)')
-        findings = self.scan(vec=computed)
-        assert any("literal" in f.message and "VEC_OPCODES" in f.message
-                   for f in findings)
-
-    def test_missing_dispatch_anchor_flagged(self):
-        findings = self.scan(executor="class Other:\n    pass\n")
-        assert any("_execute_slice not found" in f.message
-                   for f in findings)
 
 
 GOOD_PLANS = '''

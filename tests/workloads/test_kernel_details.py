@@ -6,7 +6,7 @@ from repro import Machine, MachineConfig, Policy
 from repro.types import OP_ATOMIC, OP_LOAD, OP_STORE, OP_WB
 from repro.workloads import get_workload
 
-from tests.conftest import make_machine, policy_by_label
+from tests.conftest import make_machine, needs_numpy, policy_by_label
 
 SMALL = 0.12
 
@@ -51,6 +51,7 @@ class TestCg:
             assert len(atomics) == 2  # alpha and beta partial dots
 
 
+@needs_numpy
 class TestDmm:
     def test_real_matrix_product_verified(self):
         program, machine, _w = build("dmm", label="hwcc_ideal")
@@ -131,6 +132,7 @@ class TestHeatStencil:
         assert reads[0] & reads[1]
         assert reads[1] & reads[2]
 
+    @needs_numpy
     def test_heat_jacobi_values_real(self):
         import numpy as np
         program, machine, workload = build("heat", label="hwcc_ideal")

@@ -5,10 +5,11 @@ import pytest
 from repro import Policy
 from repro.workloads import get_workload
 
-from tests.conftest import make_machine
+from tests.conftest import make_machine, needs_numpy
 
 
 class TestKnobs:
+    @needs_numpy
     def test_sweeps_knob_changes_phase_count(self):
         machine2 = make_machine(Policy.cohesion())
         machine4 = make_machine(Policy.cohesion())
@@ -33,6 +34,7 @@ class TestKnobs:
         with pytest.raises(TypeError, match="no knob"):
             get_workload("heat", granularity=5)
 
+    @needs_numpy
     def test_knobbed_run_stays_correct(self):
         machine = make_machine(Policy.swcc())
         workload = get_workload("heat", scale=0.1, sweeps=3)

@@ -5,7 +5,7 @@ import pytest
 from repro import PolicyKind
 from repro.workloads import ALL_WORKLOADS, WORKLOADS, get_workload
 
-from tests.conftest import make_machine, policy_by_label
+from tests.conftest import make_machine, needs_numpy, policy_by_label
 
 SMALL = 0.12  # workload scale for functional tests
 
@@ -27,6 +27,16 @@ class TestRegistry:
     def test_names_match_classes(self):
         for name, cls in WORKLOADS.items():
             assert cls.name == name
+
+    def test_missing_numpy_names_the_extra(self, monkeypatch,
+                                           cohesion_machine):
+        import sys
+
+        from repro.errors import SimulationError
+
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(SimulationError, match=r"repro\[workloads\]"):
+            get_workload("dmm", scale=SMALL).build(cohesion_machine)
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
@@ -105,6 +115,7 @@ class TestSharingShapes:
                          for op in t.ops if op[0] != 6)
         assert compute > 5 * memory_ops  # cycles of compute >> #mem ops
 
+    @needs_numpy
     def test_gjk_tasks_are_tiny(self):
         machine = make_machine(policy_by_label("cohesion"))
         program = get_workload("gjk", scale=SMALL).build(machine)
@@ -114,6 +125,7 @@ class TestSharingShapes:
             prog2 = get_workload(other, scale=SMALL).build(machine2)
             assert avg_ops < 0.5 * prog2.total_ops / prog2.total_tasks
 
+    @needs_numpy
     def test_heat_is_double_buffered(self):
         machine = make_machine(policy_by_label("swcc"))
         program = get_workload("heat", scale=SMALL).build(machine)
@@ -124,6 +136,7 @@ class TestSharingShapes:
                    for op in t.ops if op[0] == 1}
         assert not writes0 & writes1  # alternating buffers
 
+    @needs_numpy
     def test_dmm_panels_read_shared(self):
         machine = make_machine(policy_by_label("cohesion"))
         program = get_workload("dmm", scale=SMALL).build(machine)
@@ -142,6 +155,7 @@ class TestSharingShapes:
         assert read_lines <= set(task.input_lines) | read_lines
         assert set(task.input_lines) & read_lines  # reads are invalidated
 
+    @needs_numpy
     def test_force_hw_data_moves_everything_coherent(self):
         machine = make_machine(policy_by_label("cohesion"))
         workload = get_workload("heat", scale=SMALL)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Repo-invariant meta-lint: AST checks over the simulator's own source.
 
-The repository relies on two source-level invariants that ordinary tests
-can only probe pointwise, because both are about *code shape* rather
+The repository relies on four source-level invariants that ordinary tests
+can only probe pointwise, because all are about *code shape* rather
 than behaviour:
 
 S001  emit-hook preservation (docs/performance.md): every inlined fast
@@ -40,16 +40,6 @@ S003  footprint-table coverage: every model-checker action kind --
       table would make the reduction *unsound* (the runtime also
       fail-fasts, but only on models that use the kind; this catches
       it on every CI run).
-
-S004  vec-backend opcode coverage: every ``kind == OP_*`` branch of the
-      interpreter dispatch (``BspExecutor._execute_slice``) must appear
-      in ``runtime/vec.py`` either in ``VEC_OPCODES`` (the table-driven
-      O(1) run path handles it) or in ``VEC_FALLBACK`` (the backend
-      explicitly routes it through the interpreter-identical per-op
-      path), and neither set may carry stale or overlapping names. A
-      new opcode added to the interpreter without a vec-side decision
-      would otherwise execute differently between backends -- exactly
-      the drift the bit-identity discipline forbids.
 
 S005  plan emit-hook coverage: every codegen fragment in
       ``runtime/plans.py`` that emits protocol messages (bumps
@@ -230,45 +220,23 @@ def check_emit_hooks(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
                 "invariant checker would go blind on this op"))
         _guarded_emits_ok(func, rel_cluster, findings)
 
-    # Both executors carry the inlined dispatch: the interpreter and the
-    # vec backend's per-op fallback copy of it. The rule pins each.
-    _check_executor_dispatch(src_root / "runtime" / "executor.py",
-                             "BspExecutor", src_root, findings)
-    _check_executor_dispatch(src_root / "runtime" / "vec.py",
-                             "VecExecutor", src_root, findings)
-    return findings
-
-
-def _check_executor_dispatch(exec_path: pathlib.Path, class_name: str,
-                             src_root: pathlib.Path,
-                             findings: List[Finding]) -> None:
-    """S001 for one executor class's ``_execute_slice`` dispatch."""
+    exec_path = src_root / "runtime" / "executor.py"
     rel_exec = str(exec_path.relative_to(src_root.parent.parent))
     tree = ast.parse(exec_path.read_text())
-    executor = _find_class(tree, class_name)
+    executor = _find_class(tree, "BspExecutor")
     if executor is None:
-        findings.append(Finding("S001", rel_exec, 1,
-                                f"class {class_name} not found"))
-        return
+        return findings + [Finding("S001", rel_exec, 1,
+                                   "class BspExecutor not found")]
     for func in (node for node in executor.body
                  if isinstance(node, ast.FunctionDef)):
         _guarded_emits_ok(func, rel_exec, findings)
     slice_fn = _find_method(executor, "_execute_slice")
     if slice_fn is None:
-        # The vec backend builds its slice executor as a closure with
-        # phase constants bound as keyword defaults; the dispatch then
-        # lives in the function nested inside the binder method.
-        binder = _find_method(executor, "_bind_slice_executor")
-        if binder is not None:
-            slice_fn = next((node for node in binder.body
-                             if isinstance(node, ast.FunctionDef)), None)
-    if slice_fn is None:
         findings.append(Finding(
             "S001", rel_exec, executor.lineno,
-            f"{class_name}._execute_slice missing (and no "
-            "_bind_slice_executor closure); the op dispatch the "
+            "BspExecutor._execute_slice missing; the op dispatch the "
             "emit-hook rule pins is gone"))
-        return
+        return findings
 
     seen_ops: Set[str] = set()
     for node in ast.walk(slice_fn):
@@ -312,6 +280,7 @@ def _check_executor_dispatch(exec_path: pathlib.Path, class_name: str,
                 "S001", rel_exec, slice_fn.lineno,
                 f"_execute_slice has no ``kind == {op}`` dispatch branch "
                 "(rule map out of date with the op set?)"))
+    return findings
 
 
 def _dispatch_op(test: ast.AST) -> Optional[str]:
@@ -535,103 +504,6 @@ def check_footprint_table(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
         rel_prefix=rel_prefix)
 
 
-def _frozenset_of_strings(node: ast.AST) -> Optional[List[str]]:
-    """``frozenset({"a", "b"})`` / ``frozenset(("a",))`` -> ["a", "b"]."""
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "frozenset" and len(node.args) == 1
-            and not node.keywords):
-        return _tuple_of_strings(node.args[0])
-    return _tuple_of_strings(node)
-
-
-def scan_vec_opcode_table(executor_src: str, vec_src: str,
-                          rel_prefix: str = "src/repro/runtime"
-                          ) -> List[Finding]:
-    """S004 findings for one (executor, vec backend) source pair."""
-    findings: List[Finding] = []
-    rel_exec = f"{rel_prefix}/executor.py"
-    rel_vec = f"{rel_prefix}/vec.py"
-
-    # The interpreter dispatch is the ground truth for the opcode set.
-    dispatched: Dict[str, int] = {}  # OP_* -> line of its branch
-    exec_tree = ast.parse(executor_src)
-    executor = _find_class(exec_tree, "BspExecutor")
-    slice_fn = _find_method(executor, "_execute_slice") if executor else None
-    if slice_fn is None:
-        findings.append(Finding(
-            "S004", rel_exec, 1,
-            "BspExecutor._execute_slice not found; the vec opcode "
-            "coverage rule cannot anchor the dispatched opcode set"))
-        return findings
-    for node in ast.walk(slice_fn):
-        if isinstance(node, ast.If):
-            op = _dispatch_op(node.test)
-            if op is not None:
-                dispatched.setdefault(op, node.lineno)
-
-    vec_tree = ast.parse(vec_src)
-    tables: Dict[str, Dict[str, int]] = {}
-    table_lines: Dict[str, int] = {}
-    for node in vec_tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if (isinstance(target, ast.Name)
-                    and target.id in ("VEC_OPCODES", "VEC_FALLBACK")):
-                names = _frozenset_of_strings(node.value)
-                if names is None:
-                    findings.append(Finding(
-                        "S004", rel_vec, node.lineno,
-                        f"{target.id} must be a literal frozenset/tuple of "
-                        "opcode name strings so coverage is statically "
-                        "checkable"))
-                    continue
-                tables[target.id] = {name: node.lineno for name in names}
-                table_lines[target.id] = node.lineno
-    for required_table in ("VEC_OPCODES", "VEC_FALLBACK"):
-        if required_table not in tables:
-            findings.append(Finding(
-                "S004", rel_vec, 1,
-                f"{required_table} literal not found; every interpreter "
-                "opcode needs an explicit vec-side routing decision"))
-    if len(tables) < 2:
-        return findings
-
-    covered = set(tables["VEC_OPCODES"]) | set(tables["VEC_FALLBACK"])
-    for op in sorted(dispatched):
-        if op not in covered:
-            findings.append(Finding(
-                "S004", rel_exec, dispatched[op],
-                f"interpreter dispatches {op} but runtime/vec.py routes it "
-                "neither through VEC_OPCODES nor VEC_FALLBACK; the "
-                "backends could silently diverge on it"))
-    for table_name, entries in tables.items():
-        for op in sorted(entries):
-            if op not in dispatched:
-                findings.append(Finding(
-                    "S004", rel_vec, entries[op],
-                    f"{table_name} names {op!r}, which the interpreter "
-                    "dispatch no longer handles (stale table entry?)"))
-    overlap = set(tables["VEC_OPCODES"]) & set(tables["VEC_FALLBACK"])
-    for op in sorted(overlap):
-        findings.append(Finding(
-            "S004", rel_vec, table_lines["VEC_FALLBACK"],
-            f"{op} appears in both VEC_OPCODES and VEC_FALLBACK; the "
-            "routing decision must be unambiguous"))
-    return findings
-
-
-def check_vec_opcode_table(src_root: pathlib.Path = SRC_ROOT
-                           ) -> List[Finding]:
-    """S004: every interpreter opcode has a vec-side routing decision."""
-    runtime = src_root / "runtime"
-    rel_prefix = (runtime.relative_to(src_root.parent.parent)).as_posix()
-    return scan_vec_opcode_table(
-        (runtime / "executor.py").read_text(),
-        (runtime / "vec.py").read_text(),
-        rel_prefix=rel_prefix)
-
-
 def scan_plan_emitters(plans_src: str,
                        rel: str = "src/repro/runtime/plans.py"
                        ) -> List[Finding]:
@@ -704,7 +576,6 @@ def check_plan_emitters(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
 def run_all(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
     return (check_emit_hooks(src_root) + check_measured_paths(src_root)
             + check_footprint_table(src_root)
-            + check_vec_opcode_table(src_root)
             + check_plan_emitters(src_root))
 
 
@@ -713,7 +584,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="repo-invariant meta-lint (S001 emit hooks, "
                     "S002 deterministic measured paths, "
                     "S003 footprint-table coverage, "
-                    "S004 vec-backend opcode coverage, "
                     "S005 plan emit-hook coverage)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
