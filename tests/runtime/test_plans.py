@@ -223,6 +223,17 @@ class TestKernelEquality:
         """track_data=False turns the value plumbing off."""
         _kernel_twins(workload, "cohesion", monkeypatch, track_data=False)
 
+    def test_state_identical_after_run(self, monkeypatch):
+        """Every protocol-visible bit of machine state matches: cache
+        contents word for word, directory state, fine-table bits."""
+        planned, interp = _twin_machines("cohesion", monkeypatch)
+        for machine in (planned, interp):
+            machine.run(get_workload("kmeans", scale=0.5,
+                                     seed=1234).build(machine))
+        assert planned.memsys._plans.stats()["replayed"] > 0
+        snapshot = planned.snapshot()
+        assert snapshot and snapshot == interp.snapshot()
+
 
 class TestObsStreamEquality:
     """Observed whole-program runs announce identical event streams."""
