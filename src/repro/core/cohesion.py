@@ -44,7 +44,7 @@ from repro.mem.cache import Cache, CacheLine
 from repro.mem.dram import DramModel
 from repro.obs.bus import EV_MSG, EventBus, ObsEvent
 from repro.runtime.layout import AddressLayout
-from repro.timing import BUCKET_CYCLES, _INV_BUCKET, ResourceGroup
+from repro.timing import ResourceGroup
 from repro.types import MessageType, PolicyKind
 
 #: C-level key for the L3 victim scans (see ``_l3_access``).
@@ -233,22 +233,10 @@ class MemorySystem:
         is absent; merges ``write_mask``/``write_values`` into the line.
         Returns the completion time and the resident L3 entry.
         """
-        # Every miss in the machine funnels through here: the bank-port
-        # reservation is a hand-inlined Resource.acquire (occupancy is
-        # always exactly one cycle), and the tag probe is fused with
-        # lookup()'s counter/LRU bookkeeping.
-        port = self.bank_ports.members[bank]
-        port.acquisitions += 1
-        port.total_busy += 1.0
-        used = port._used
-        bucket = int(now * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + 1.0 > BUCKET_CYCLES:
-            bucket, filled = port._slot_after(bucket, 1.0)
-        used[bucket] = filled + 1.0
-        t = bucket * BUCKET_CYCLES
-        if now > t:
-            t = now
+        # Every miss in the machine funnels through here: one bank-port
+        # reservation, and a tag probe fused with lookup()'s counter/LRU
+        # bookkeeping.
+        t = self.bank_ports.members[bank].acquire(now, 1.0)
         t += self.l3_latency
         cache = self.l3[bank]
         entry = cache.sets[line % cache.n_sets].get(line)
@@ -260,32 +248,7 @@ class MemorySystem:
             cache.misses += 1
         if entry is None:
             if need_data:
-                # Inlined DramModel.access (lines=1): same channel
-                # acquire, same counters, same completion time. The
-                # rare cases the inline cannot take verbatim -- an
-                # active obs bus (EV_DRAM must be emitted) or a
-                # transfer occupancy wider than one bucket -- delegate
-                # to the real method.
-                dram = self.dram
-                chan = self._chan_of_bank[bank]
-                occ_d = dram.occupancy_per_line
-                if self.obs.active or occ_d > BUCKET_CYCLES:
-                    t = dram.access(chan, t)
-                else:
-                    res = dram.channels.members[chan]
-                    res.acquisitions += 1
-                    res.total_busy += occ_d
-                    used_d = res._used
-                    db = int(t * _INV_BUCKET)
-                    df = used_d.get(db, 0.0)
-                    if df + occ_d > BUCKET_CYCLES:
-                        db, df = res._slot_after(db, occ_d)
-                    used_d[db] = df + occ_d
-                    start = db * BUCKET_CYCLES
-                    if t > start:
-                        start = t
-                    dram.accesses[chan] += 1
-                    t = start + dram.latency + occ_d
+                t = self.dram.access(self._chan_of_bank[bank], t)
             # Inlined Cache.allocate. The probe above just missed and
             # nothing since has inserted the line, so allocate()'s
             # merge-with-existing branch is unreachable here; the LRU

@@ -19,24 +19,12 @@ machine's construction-time constants into it, and ``exec``s it into a
 *plan*: a single flat function. Every later miss with the same
 signature replays the plan instead of re-walking the interpreter.
 
-Three layers keep replay cheap:
+Two layers keep replay cheap:
 
 * **Observer specialisation.** ``obs.active`` is part of the signature,
   so the hot (observer-less) variants carry no emit code and no
   branches; the observed variants emit every event the interpreter
   would, unconditionally and in the same order.
-* **Deferred resource statistics.** The ``acquisitions`` /
-  ``total_busy`` tallies of the tree links, crossbar, bank port and
-  DRAM channel (and ``DRAM.accesses``) are pure monotonic statistics:
-  nothing reads them between protocol calls, every plan-issued
-  occupancy is a power of two, and partial sums stay far inside
-  float53's exact range -- so batch application is bit-identical to
-  eager updates. A deferred plan bumps one per-(tree, bank) replay
-  counter; :meth:`PlanCache.settle` expands the counts at phase
-  barriers and stats collection. Time-bearing state (the ``_used``
-  bucket maps), protocol counters (``MessageCounters``,
-  ``net.messages``, L3 hit/miss/eviction counts) and all cache/
-  directory state stay eager.
 * **A process-wide code cache.** Plan source depends only on the
   signature and construction-time constants, so the compiled code
   object is shared across machines; a fresh machine pays one ``exec``
@@ -83,13 +71,10 @@ import os
 import re
 from typing import Optional
 
-from operator import attrgetter
-
 from repro.coherence.directory import DIR_M, DIR_S
 from repro.mem.address import FULL_WORD_MASK, WORDS_PER_LINE, line_of
 from repro.mem.cache import CacheLine
-from repro.obs.bus import (EV_NET, EV_TO_HWCC, EV_TO_SWCC, ObsEvent)
-from repro.timing import BUCKET_CYCLES, _INV_BUCKET
+from repro.obs.bus import EV_TO_HWCC, EV_TO_SWCC, ObsEvent
 from repro.types import MessageType, PolicyKind
 
 _MISSING = object()
@@ -99,23 +84,16 @@ _MISSING = object()
 #: with the same shape shares the compiled bytecode.
 _CODE_CACHE: dict = {}
 
-#: Deferred-stats preamble: one replay tick per (tree, bank) key.
-_DEFER_KEY = """
-    DC[cluster_id // CPT * NBANKS + bank] += 1
-"""
-
 #: Exec-namespace names whose values are plain numbers (or short
 #: strings) fixed at machine construction. :meth:`PlanCache._exec`
 #: substitutes them into the plan source as literals, so replay does no
-#: name lookup at all for them (and ``int(t * INV_BUCKET)``-style
-#: expressions run on constants).
+#: name lookup at all for them (and ``t + L3_LAT``-style expressions
+#: run on constants).
 _SCALAR_NAMES = (
-    "BUCKET_CYCLES", "INV_BUCKET", "TREE_OCC", "XBAR_OCC", "ONE_WAY",
-    "L3_LAT", "DRAM_LAT", "DRAM_OCC", "CPT", "NBANKS", "N_SETS",
-    "FULL_WORD_MASK", "WORDS_PER_LINE", "NACK_SER", "NCLU", "DIR_S",
-    "DIR_M", "MSG_READ", "MSG_IREAD", "MSG_WRITE", "MSG_PROBE_RESP",
-    "MSG_RDREL", "MSG_FLUSH", "MSG_EVICT", "MSG_ATOMIC", "EV_NET",
-    "EV_TO_SWCC", "EV_TO_HWCC",
+    "ONE_WAY", "L3_LAT", "N_SETS", "FULL_WORD_MASK", "WORDS_PER_LINE",
+    "NACK_SER", "NCLU", "DIR_S", "DIR_M", "MSG_READ", "MSG_IREAD",
+    "MSG_WRITE", "MSG_PROBE_RESP", "MSG_RDREL", "MSG_FLUSH", "MSG_EVICT",
+    "MSG_ATOMIC", "EV_TO_SWCC", "EV_TO_HWCC",
 )
 
 #: Names a plan body may reference whose values are *objects* with
@@ -123,10 +101,9 @@ _SCALAR_NAMES = (
 #: binds the ones a body actually uses as keyword defaults, turning
 #: every reference into a local-variable load.
 _OBJ_NAMES = (
-    "Reply", "CacheLine", "ObsEvent", "LRU_KEY", "C", "OBS", "NET",
-    "UP", "DOWN", "XBAR", "PORTS", "L3BANKS", "DIRS", "LAYOUT",
-    "CLUSTERS", "FINE", "BACKING", "DRAM", "DRAMCH", "CHAN", "ENGINE",
-    "min", "int", "list", "len", "range",
+    "Reply", "CacheLine", "ObsEvent", "C", "OBS", "NET", "PORTS",
+    "L3BANKS", "DIRS", "LAYOUT", "CLUSTERS", "FINE", "BACKING", "DRAM",
+    "CHAN", "ENGINE", "list", "len", "range",
 )
 
 _NAME_PAT = re.compile(
@@ -153,168 +130,30 @@ def install_plans(memsys) -> Optional["PlanCache"]:
     return cache
 
 
-class _Recipe:
-    """Static per-replay resource-statistic deltas of one deferred plan.
-
-    Filled in while the plan's fragments are generated; applied by
-    :meth:`PlanCache.settle` as ``count x delta`` in one batch. Every
-    delta is an integer count or a multiple of a power-of-two occupancy
-    (tree 2^-2, crossbar 2^-4, port 2^0/2^-1, DRAM 2^1), so the batch
-    lands on exactly the bits eager per-replay updates would.
-    """
-
-    __slots__ = ("up", "down", "xbar", "ports", "dram")
-
-    def __init__(self) -> None:
-        self.up = 0
-        self.down = 0
-        self.xbar = 0
-        #: occupancy -> acquisitions of the home bank's port per replay.
-        self.ports: dict = {}
-        self.dram = 0
-
-    def apply(self, env: dict, tree: int, bank: int, n: int) -> None:
-        if self.up:
-            link = env["UP"][tree]
-            link.acquisitions += n * self.up
-            link.total_busy += n * self.up * env["TREE_OCC"]
-        if self.down:
-            link = env["DOWN"][tree]
-            link.acquisitions += n * self.down
-            link.total_busy += n * self.down * env["TREE_OCC"]
-        if self.xbar:
-            xbar = env["XBAR"]
-            xbar.acquisitions += n * self.xbar
-            xbar.total_busy += n * self.xbar * env["XBAR_OCC"]
-        if self.ports:
-            port = env["PORTS"][bank]
-            for occ, cnt in self.ports.items():
-                port.acquisitions += n * cnt
-                port.total_busy += n * cnt * occ
-        if self.dram:
-            chan = env["CHAN"][bank]
-            res = env["DRAMCH"][chan]
-            res.acquisitions += n * self.dram
-            res.total_busy += n * self.dram * env["DRAM_OCC"]
-            env["DRAM"].accesses[chan] += n * self.dram
-
-
 # --------------------------------------------------------------------------
 # Source fragments. Each returns indented source text; locals are reused
 # sequentially (every fragment leaves ``t`` holding the current time).
-# Baked names (upper case) live in the plan's exec namespace. ``obs``
-# switches emit code in or out at generation time; ``recipe`` (when not
-# None) absorbs the fragment's resource statistics for deferral.
+# Baked names (upper case) live in the plan's exec namespace.
 # --------------------------------------------------------------------------
 
-def _frag_to_l3(cl: str, src: str, obs: bool, recipe) -> str:
-    """Inline ``Network.to_l3`` for cluster expression ``cl``; sets ``t``."""
-    if recipe is not None:
-        recipe.up += 1
-        recipe.xbar += 1
-        link_stats = xbar_stats = ""
-    else:
-        link_stats = """
-    link.acquisitions += 1
-    link.total_busy += TREE_OCC"""
-        xbar_stats = """
-    XBAR.acquisitions += 1
-    XBAR.total_busy += XBAR_OCC"""
-    text = f"""
-    NET.messages += 1
-    link = UP[{cl} // CPT]{link_stats}
-    u = link._used
-    b = int({src} * INV_BUCKET)
-    f = u.get(b, 0.0)
-    if f + TREE_OCC > BUCKET_CYCLES:
-        b, f = link._slot_after(b, TREE_OCC)
-    u[b] = f + TREE_OCC
-    start = b * BUCKET_CYCLES
-    if {src} > start:
-        start = {src}{xbar_stats}
-    u = XBAR._used
-    b = int(start * INV_BUCKET)
-    f = u.get(b, 0.0)
-    if f + XBAR_OCC > BUCKET_CYCLES:
-        b, f = XBAR._slot_after(b, XBAR_OCC)
-    u[b] = f + XBAR_OCC
-    begin = b * BUCKET_CYCLES
-    if start > begin:
-        begin = start
-    t = begin + ONE_WAY
-"""
-    if obs:
-        text += f"""
-    OBS.emit(ObsEvent({src}, EV_NET, {cl}, dur=t - {src}, detail="up"))
-"""
-    return text
-
-
-def _frag_to_cluster(cl: str, src: str, dst: str, obs: bool, recipe) -> str:
-    """Inline ``Network.to_cluster`` toward ``cl``; sets ``dst``."""
-    if recipe is not None:
-        recipe.down += 1
-        recipe.xbar += 1
-        link_stats = xbar_stats = ""
-    else:
-        xbar_stats = """
-    XBAR.acquisitions += 1
-    XBAR.total_busy += XBAR_OCC"""
-        link_stats = """
-    link.acquisitions += 1
-    link.total_busy += TREE_OCC"""
-    text = f"""
-    NET.messages += 1{xbar_stats}
-    u = XBAR._used
-    b = int({src} * INV_BUCKET)
-    f = u.get(b, 0.0)
-    if f + XBAR_OCC > BUCKET_CYCLES:
-        b, f = XBAR._slot_after(b, XBAR_OCC)
-    u[b] = f + XBAR_OCC
-    start = b * BUCKET_CYCLES
-    if {src} > start:
-        start = {src}
-    link = DOWN[{cl} // CPT]{link_stats}
-    u = link._used
-    b = int(start * INV_BUCKET)
-    f = u.get(b, 0.0)
-    if f + TREE_OCC > BUCKET_CYCLES:
-        b, f = link._slot_after(b, TREE_OCC)
-    u[b] = f + TREE_OCC
-    begin = b * BUCKET_CYCLES
-    if start > begin:
-        begin = start
-    {dst} = begin + ONE_WAY
-"""
-    if obs:
-        text += f"""
-    OBS.emit(ObsEvent({src}, EV_NET, {cl}, dur={dst} - {src}, detail="down"))
-"""
-    return text
-
-
-def _frag_bank_port(occ: str, recipe) -> str:
-    """Inline the L3 bank-port reservation at occupancy ``occ``; t -> t."""
-    if recipe is not None:
-        key = float(occ)
-        recipe.ports[key] = recipe.ports.get(key, 0) + 1
-        stats = ""
-    else:
-        stats = f"""
-    port.acquisitions += 1
-    port.total_busy += {occ}"""
+def _frag_to_l3(cl: str, src: str) -> str:
+    """``Network.to_l3`` for cluster expression ``cl``; sets ``t``."""
     return f"""
-    port = PORTS[bank]{stats}
-    u = port._used
-    b = int(t * INV_BUCKET)
-    f = u.get(b, 0.0)
-    if f + {occ} > BUCKET_CYCLES:
-        b, f = port._slot_after(b, {occ})
-    u[b] = f + {occ}
-    tt = b * BUCKET_CYCLES
-    if t > tt:
-        tt = t
-    t = tt
+    t = NET.to_l3({cl}, {src})
+"""
+
+
+def _frag_to_cluster(cl: str, src: str, dst: str) -> str:
+    """``Network.to_cluster`` toward ``cl``; sets ``dst``."""
+    return f"""
+    {dst} = NET.to_cluster({cl}, {src})
+"""
+
+
+def _frag_bank_port(occ: str) -> str:
+    """The L3 bank-port reservation at occupancy ``occ``; t -> t."""
+    return f"""
+    t = PORTS[bank].acquire(t, {occ})
 """
 
 
@@ -324,42 +163,15 @@ _FRAG_NOTE = """
 """
 
 
-def _frag_dram_fill(obs: bool, wide: bool, recipe) -> str:
+def _frag_dram_fill() -> str:
     """One DRAM line fill at time ``t``; t -> completion time."""
-    if obs or wide:
-        # DRAM.access self-counts and carries the EV_DRAM emit, and is
-        # the only correct path for occupancies wider than a bucket.
-        return """
+    return """
     t = DRAM.access(CHAN[bank], t)
-"""
-    if recipe is not None:
-        recipe.dram += 1
-        stats = ""
-        acc = ""
-    else:
-        stats = """
-    res.acquisitions += 1
-    res.total_busy += DRAM_OCC"""
-        acc = """
-    DRAM.accesses[CHAN[bank]] += 1"""
-    return f"""
-    res = DRAMCH[CHAN[bank]]{stats}
-    u = res._used
-    b = int(t * INV_BUCKET)
-    f = u.get(b, 0.0)
-    if f + DRAM_OCC > BUCKET_CYCLES:
-        b, f = res._slot_after(b, DRAM_OCC)
-    u[b] = f + DRAM_OCC
-    start = b * BUCKET_CYCLES
-    if t > start:
-        start = t{acc}
-    t = start + DRAM_LAT + DRAM_OCC
 """
 
 
 def _frag_l3(l3cls: str, line: str, need_data: bool, track: bool,
-             obs: bool, wide: bool, recipe, entry: str = "l3e",
-             wm: str = "", wv: str = "") -> str:
+             entry: str = "l3e", wm: str = "", wv: str = "") -> str:
     """Baked-class replica of ``MemorySystem._l3_access``.
 
     ``l3cls`` is the dispatch-probed validity class of ``line``'s L3
@@ -368,7 +180,7 @@ def _frag_l3(l3cls: str, line: str, need_data: bool, track: bool,
     The probed ``entry`` is reused for ``hit``; the others allocate.
     Partially valid lines are uncompilable and never reach here.
     """
-    src = _frag_bank_port("1.0", recipe) + """
+    src = _frag_bank_port("1.0") + """
     t = t + L3_LAT
     cache = L3BANKS[bank]
 """
@@ -383,7 +195,7 @@ def _frag_l3(l3cls: str, line: str, need_data: bool, track: bool,
     cache.misses += 1
 """
         if need_data:
-            src += _frag_dram_fill(obs, wide, recipe)
+            src += _frag_dram_fill()
         vm0 = "FULL_WORD_MASK" if need_data else (wm or "0")
         src += f"""
     set_ = cache.sets[{line} % N_SETS]
@@ -391,7 +203,7 @@ def _frag_l3(l3cls: str, line: str, need_data: bool, track: bool,
 """
         if l3cls == "evict":
             # Manual LRU scan: ties break on first-encountered, exactly
-            # like min(..., key=LRU_KEY) with a strict < comparison.
+            # like _l3_access's min(..., key=_LRU_KEY).
             src += f"""
     _vals = iter(set_.values())
     {entry} = next(_vals)
@@ -463,7 +275,6 @@ class PlanCache:
         self.ms = ms
         config = ms.config
         net = ms.net
-        from repro.interconnect.network import _XBAR_OCCUPANCY
         self.generation = 0
         self.compiled = 0
         self.replayed = 0
@@ -481,11 +292,8 @@ class PlanCache:
         self._wb: dict = {}
         self._rr: dict = {}
         self._trans: dict = {}
-        #: (recipe, per-plan replay-count dict) pairs awaiting settle().
-        self._defers: list = []
         self._track = config.track_data
         self._swcc_all = ms.policy.kind is PolicyKind.SWCC
-        self._dram_wide = ms.dram.occupancy_per_line > BUCKET_CYCLES
         # Dispatch fast paths. These bind mutable *containers* whose
         # identity is stable for the machine's lifetime (the memo dicts
         # are ``.clear()``-ed, never reassigned), so reading through
@@ -506,12 +314,8 @@ class PlanCache:
             "Reply": None,  # filled below (import cycle)
             "CacheLine": CacheLine,
             "ObsEvent": ObsEvent,
-            "EV_NET": EV_NET,
             "EV_TO_SWCC": EV_TO_SWCC,
             "EV_TO_HWCC": EV_TO_HWCC,
-            "BUCKET_CYCLES": BUCKET_CYCLES,
-            "INV_BUCKET": _INV_BUCKET,
-            "LRU_KEY": attrgetter("lru"),
             "FULL_WORD_MASK": FULL_WORD_MASK,
             "WORDS_PER_LINE": WORDS_PER_LINE,
             "DIR_S": DIR_S,
@@ -527,16 +331,9 @@ class PlanCache:
             "C": ms.counters,
             "OBS": ms.obs,
             "NET": net,
-            "UP": net.up_links.members,
-            "DOWN": net.down_links.members,
-            "XBAR": net.crossbar,
-            "CPT": net.clusters_per_tree,
-            "TREE_OCC": net.tree_occupancy,
-            "XBAR_OCC": _XBAR_OCCUPANCY,
             "ONE_WAY": net.one_way_latency,
             "PORTS": ms.bank_ports.members,
             "L3BANKS": ms.l3,
-            "NBANKS": len(ms.l3),
             "N_SETS": ms.l3[0].n_sets,
             "L3_LAT": ms.l3_latency,
             "DIRS": ms.dirs,
@@ -545,10 +342,7 @@ class PlanCache:
             "FINE": ms.fine,
             "BACKING": ms.backing,
             "DRAM": ms.dram,
-            "DRAMCH": ms.dram.channels.members,
             "CHAN": ms._chan_of_bank,
-            "DRAM_LAT": ms.dram.latency,
-            "DRAM_OCC": ms.dram.occupancy_per_line,
             "NCLU": ms.n_clusters,
             "ENGINE": ms.transitions,
             "NACK_SER": None,  # bound below
@@ -560,7 +354,6 @@ class PlanCache:
         #: name -> source literal for the scalar bakes (``repr`` of a
         #: float round-trips exactly, so the literal is the value).
         self._lit_map = {n: repr(self._env[n]) for n in _SCALAR_NAMES}
-        self._ntrees = len(net.up_links.members)
         self._fixed = ms._fixed_domain
         self._obs = ms.obs
         self._dirget = tuple(d.get for d in ms.dirs)
@@ -568,7 +361,6 @@ class PlanCache:
     # -- invalidation / stats ------------------------------------------------
     def invalidate(self) -> None:
         """Drop every compiled plan (coarse-region/domain flip hook)."""
-        self.settle()
         self.generation += 1
         self._read.clear()
         self._write.clear()
@@ -576,30 +368,7 @@ class PlanCache:
         self._wb.clear()
         self._rr.clear()
         self._trans.clear()
-        self._defers.clear()
         self.sources.clear()
-
-    def settle(self) -> None:
-        """Apply every deferred resource-statistic delta (exact).
-
-        Deferred plans count replays per (tree, bank) instead of eagerly
-        bumping ``acquisitions``/``total_busy``/``accesses`` on five
-        resources per miss; this expands the counts into the identical
-        final values (integer counts are exact, and the busy sums add
-        multiples of power-of-two occupancies whose partial sums are all
-        exactly representable, so batching cannot move a bit). Runs at
-        phase barriers, at stats collection and before invalidation;
-        code reading resource statistics between *raw* protocol calls on
-        a plans-enabled machine must call it first.
-        """
-        env = self._env
-        nbanks = env["NBANKS"]
-        for recipe, dc in self._defers:
-            for k in range(len(dc)):
-                n = dc[k]
-                if n:
-                    recipe.apply(env, k // nbanks, k % nbanks, n)
-                    dc[k] = 0
 
     def stats(self) -> dict:
         return {
@@ -611,19 +380,13 @@ class PlanCache:
             "signatures": sorted(str(k) for k in self.sources),
         }
 
-    def _exec(self, sig, src: str, argnames: str, recipe=None):
+    def _exec(self, sig, src: str, argnames: str):
         """Compile one plan body into a function; record its source.
 
-        ``recipe`` switches the plan to deferred resource statistics:
-        the body bumps one per-(tree, bank) replay counter (``DC``,
-        bound per plan through a default argument) and :meth:`settle`
-        applies the aggregate deltas. Code objects are cached
-        process-wide by source text, so a fresh machine reuses the
-        bytecode of every plan shape any earlier machine compiled.
+        Code objects are cached process-wide by source text, so a fresh
+        machine reuses the bytecode of every plan shape any earlier
+        machine compiled.
         """
-        if recipe is not None:
-            argnames += ", DC=DEFER"
-            src = _DEFER_KEY + src
         # Bake scalar constants as literals and bind every referenced
         # object name as a keyword default: the compiled body then runs
         # entirely on constants and local loads. ``used`` is in first-
@@ -653,10 +416,6 @@ class PlanCache:
         env = self._env
         if env["CLUSTERS"] is None:
             env["CLUSTERS"] = self.ms.clusters
-        if recipe is not None:
-            dc = [0] * (self._ntrees * env["NBANKS"])
-            loc["DEFER"] = dc
-            self._defers.append((recipe, dc))
         exec(code, env, loc)
         self.sources[sig] = text
         self.compiled += 1
@@ -774,11 +533,6 @@ class PlanCache:
     def _compile_read(self, sig):
         _op, instruction, domcls, dircls, l3cls, tl3cls, obs = sig
         track = self._track
-        wide = self._dram_wide
-        # The owner-downgrade path reserves network legs toward the
-        # *owner*, whose tree the (tree, bank) defer key cannot carry;
-        # it keeps eager statistics.
-        recipe = None if dircls == "M" else _Recipe()
         counter = "C.instruction_request" if instruction else "C.read_request"
         msg = "MSG_IREAD" if instruction else "MSG_READ"
         src = f"""
@@ -788,23 +542,23 @@ class PlanCache:
             src += f"""
     ms._emit_msg(now, cluster_id, line, {msg})
 """
-        src += _frag_to_l3("cluster_id", "now", obs, recipe)
+        src += _frag_to_l3("cluster_id", "now")
         swcc = domcls in ("S", "coarse", "fineS")
         if domcls.startswith("fine"):
             src += """
     ms.fine_lookups += 1
 """
-            src += _frag_l3(tl3cls, "table_line", True, track, obs, wide,
-                            recipe, entry="tl3e")
+            src += _frag_l3(tl3cls, "table_line", True, track,
+                            entry="tl3e")
         if swcc:
             if l3cls == "dyn":
                 src += """
     t, l3e = ms._l3_access(bank, line, t)
 """
             else:
-                src += _frag_l3(l3cls, "line", True, track, obs, wide, recipe)
+                src += _frag_l3(l3cls, "line", True, track)
             src += _frag_reply_data(track)
-            src += _frag_to_cluster("cluster_id", "t", "rt", obs, recipe)
+            src += _frag_to_cluster("cluster_id", "t", "rt")
             src += """
     if rt > ms.max_time:
         ms.max_time = rt
@@ -813,7 +567,7 @@ class PlanCache:
             return self._exec(
                 sig, src,
                 "cluster_id, line, now, bank, dentry, l3e, "
-                "table_line, tl3e", recipe)
+                "table_line, tl3e")
         # hardware-coherent read
         src += """
     directory = DIRS[bank]
@@ -829,7 +583,7 @@ class PlanCache:
             src += """
     owner = dentry.sharers.bit_length() - 1
 """
-            src += _frag_to_cluster("owner", "t", "at", obs, recipe)
+            src += _frag_to_cluster("owner", "t", "at")
             src += """
     dmask, values, svc = CLUSTERS[owner].probe_downgrade(line, at)
     C.probe_response += 1
@@ -838,7 +592,7 @@ class PlanCache:
                 src += """
     ms._emit_msg(svc, owner, line, MSG_PROBE_RESP)
 """
-            src += _frag_to_l3("owner", "svc", obs, recipe)
+            src += _frag_to_l3("owner", "svc")
             src += """
     if dmask:
         t, _e = ms._l3_access(bank, line, t, write_mask=dmask,
@@ -856,9 +610,9 @@ class PlanCache:
     t, l3e = ms._l3_access(bank, line, t)
 """
         else:
-            src += _frag_l3(l3cls, "line", True, track, obs, wide, recipe)
+            src += _frag_l3(l3cls, "line", True, track)
         src += _frag_reply_data(track)
-        src += _frag_to_cluster("cluster_id", "t", "rt", obs, recipe)
+        src += _frag_to_cluster("cluster_id", "t", "rt")
         src += """
     if rt > ms.max_time:
         ms.max_time = rt
@@ -867,7 +621,7 @@ class PlanCache:
         return self._exec(
             sig, src,
             "cluster_id, line, now, bank, dentry, l3e, "
-            "table_line, tl3e", recipe)
+            "table_line, tl3e")
 
     # -- write --------------------------------------------------------------
     def write_line_request(self, cluster_id: int, line: int, now: float):
@@ -951,8 +705,6 @@ class PlanCache:
     def _compile_write(self, sig):
         _op, domcls, dircls, l3cls, tl3cls, obs = sig
         track = self._track
-        wide = self._dram_wide
-        recipe = _Recipe()
         src = """
     C.write_request += 1
 """
@@ -960,23 +712,23 @@ class PlanCache:
             src += """
     ms._emit_msg(now, cluster_id, line, MSG_WRITE)
 """
-        src += _frag_to_l3("cluster_id", "now", obs, recipe)
+        src += _frag_to_l3("cluster_id", "now")
         swcc = domcls in ("S", "coarse", "fineS")
         if domcls.startswith("fine"):
             src += """
     ms.fine_lookups += 1
 """
-            src += _frag_l3(tl3cls, "table_line", True, track, obs, wide,
-                            recipe, entry="tl3e")
+            src += _frag_l3(tl3cls, "table_line", True, track,
+                            entry="tl3e")
         if swcc:
             if l3cls == "dyn":
                 src += """
     t, l3e = ms._l3_access(bank, line, t)
 """
             else:
-                src += _frag_l3(l3cls, "line", True, track, obs, wide, recipe)
+                src += _frag_l3(l3cls, "line", True, track)
             src += _frag_reply_data(track)
-            src += _frag_to_cluster("cluster_id", "t", "rt", obs, recipe)
+            src += _frag_to_cluster("cluster_id", "t", "rt")
             src += """
     if rt > ms.max_time:
         ms.max_time = rt
@@ -985,7 +737,7 @@ class PlanCache:
             return self._exec(
                 sig, src,
                 "cluster_id, line, now, bank, dentry, l3e, targets, "
-                "table_line, tl3e", recipe)
+                "table_line, tl3e")
         src += """
     directory = DIRS[bank]
 """
@@ -1013,9 +765,9 @@ class PlanCache:
     t, l3e = ms._l3_access(bank, line, t)
 """
         else:
-            src += _frag_l3(l3cls, "line", True, track, obs, wide, recipe)
+            src += _frag_l3(l3cls, "line", True, track)
         src += _frag_reply_data(track)
-        src += _frag_to_cluster("cluster_id", "t", "rt", obs, recipe)
+        src += _frag_to_cluster("cluster_id", "t", "rt")
         src += """
     if rt > ms.max_time:
         ms.max_time = rt
@@ -1024,7 +776,7 @@ class PlanCache:
         return self._exec(
             sig, src,
             "cluster_id, line, now, bank, dentry, l3e, targets, "
-            "table_line, tl3e", recipe)
+            "table_line, tl3e")
 
     # -- upgrade ------------------------------------------------------------
     def upgrade_request(self, cluster_id: int, line: int, now: float):
@@ -1050,7 +802,6 @@ class PlanCache:
 
     def _compile_upgrade(self, sig):
         _op, has_targets, obs = sig
-        recipe = _Recipe()
         src = """
     C.write_request += 1
 """
@@ -1058,7 +809,7 @@ class PlanCache:
             src += """
     ms._emit_msg(now, cluster_id, line, MSG_WRITE)
 """
-        src += _frag_to_l3("cluster_id", "now", obs, recipe)
+        src += _frag_to_l3("cluster_id", "now")
         if has_targets:
             src += """
     t = ms._probe_invalidate_targets(line, targets, bank, t)
@@ -1068,14 +819,14 @@ class PlanCache:
     dentry.state = DIR_M
     DIRS[bank].touch(dentry)
 """
-        src += _frag_to_cluster("cluster_id", "t", "rt", obs, recipe)
+        src += _frag_to_cluster("cluster_id", "t", "rt")
         src += """
     if rt > ms.max_time:
         ms.max_time = rt
     return rt
 """
         return self._exec(
-            sig, src, "cluster_id, line, now, bank, dentry, targets", recipe)
+            sig, src, "cluster_id, line, now, bank, dentry, targets")
 
     # -- writeback ----------------------------------------------------------
     def writeback(self, cluster_id: int, line: int, dirty_mask: int,
@@ -1113,7 +864,6 @@ class PlanCache:
 
     def _compile_wb(self, sig):
         _op, flush, coh_dir, l3cls, obs = sig
-        recipe = _Recipe()
         counter = "C.software_flush" if flush else "C.cache_eviction"
         msg = "MSG_FLUSH" if flush else "MSG_EVICT"
         src = f"""
@@ -1123,9 +873,9 @@ class PlanCache:
             src += f"""
     ms._emit_msg(now, cluster_id, line, {msg})
 """
-        src += _frag_to_l3("cluster_id", "now", obs, recipe)
-        src += _frag_l3(l3cls, "line", False, self._track, obs,
-                        self._dram_wide, recipe, wm="dirty_mask", wv="values")
+        src += _frag_to_l3("cluster_id", "now")
+        src += _frag_l3(l3cls, "line", False, self._track,
+                        wm="dirty_mask", wv="values")
         if coh_dir:
             src += """
     directory = DIRS[bank]
@@ -1141,8 +891,7 @@ class PlanCache:
 """
         return self._exec(
             sig, src,
-            "cluster_id, line, dirty_mask, values, now, bank, dentry, l3e",
-            recipe)
+            "cluster_id, line, dirty_mask, values, now, bank, dentry, l3e")
 
     # -- read release --------------------------------------------------------
     def read_release(self, cluster_id: int, line: int, now: float):
@@ -1163,7 +912,6 @@ class PlanCache:
 
     def _compile_rr(self, sig):
         _op, obs = sig
-        recipe = _Recipe()
         src = """
     C.read_release += 1
 """
@@ -1171,8 +919,8 @@ class PlanCache:
             src += """
     ms._emit_msg(now, cluster_id, line, MSG_RDREL)
 """
-        src += _frag_to_l3("cluster_id", "now", obs, recipe)
-        src += _frag_bank_port("0.5", recipe)
+        src += _frag_to_l3("cluster_id", "now")
+        src += _frag_bank_port("0.5")
         src += """
     directory = DIRS[bank]
     dentry = directory.get(line)
@@ -1185,7 +933,7 @@ class PlanCache:
         src += """
     return t
 """
-        return self._exec(sig, src, "cluster_id, line, now, bank", recipe)
+        return self._exec(sig, src, "cluster_id, line, now, bank")
 
     # -- domain transitions --------------------------------------------------
     def _table_probe(self, line: int):
@@ -1228,7 +976,6 @@ class PlanCache:
 
     def _compile_tsw(self, sig):
         _op, has_entry, tl3cls, obs = sig
-        recipe = _Recipe()
         src = """
     C.uncached_atomic += 1
 """
@@ -1236,9 +983,9 @@ class PlanCache:
             src += """
     ms._emit_msg(now, cluster_id, line, MSG_ATOMIC)
 """
-        src += _frag_to_l3("cluster_id", "now", obs, recipe)
-        src += _frag_l3(tl3cls, "table_line", True, self._track, obs,
-                        self._dram_wide, recipe, entry="tl3e")
+        src += _frag_to_l3("cluster_id", "now")
+        src += _frag_l3(tl3cls, "table_line", True, self._track,
+                        entry="tl3e")
         src += """
     tl3e.dirty_mask |= twbit
 """
@@ -1257,7 +1004,7 @@ class PlanCache:
     FINE.set_swcc(line)
     ENGINE.to_swcc_count += 1
 """
-        src += _frag_to_cluster("cluster_id", "t", "rt", obs, recipe)
+        src += _frag_to_cluster("cluster_id", "t", "rt")
         src += """
     if rt > ms.max_time:
         ms.max_time = rt
@@ -1266,7 +1013,7 @@ class PlanCache:
         return self._exec(
             sig, src,
             "cluster_id, line, now, bank, dentry, targets, table_line, "
-            "tl3e, twbit", recipe)
+            "tl3e, twbit")
 
     def to_hwcc(self, cluster_id: int, line: int, now: float):
         """Dispatch one SWcc->HWcc transition; None means interpret.
@@ -1294,7 +1041,6 @@ class PlanCache:
 
     def _compile_thw(self, sig):
         _op, tl3cls, obs = sig
-        recipe = _Recipe()
         src = """
     C.uncached_atomic += 1
 """
@@ -1302,9 +1048,9 @@ class PlanCache:
             src += """
     ms._emit_msg(now, cluster_id, line, MSG_ATOMIC)
 """
-        src += _frag_to_l3("cluster_id", "now", obs, recipe)
-        src += _frag_l3(tl3cls, "table_line", True, self._track, obs,
-                        self._dram_wide, recipe, entry="tl3e")
+        src += _frag_to_l3("cluster_id", "now")
+        src += _frag_l3(tl3cls, "table_line", True, self._track,
+                        entry="tl3e")
         src += """
     tl3e.dirty_mask |= twbit
 """
@@ -1326,7 +1072,7 @@ class PlanCache:
     FINE.clear_swcc(line)
     ENGINE.to_hwcc_count += 1
 """
-        src += _frag_to_cluster("cluster_id", "t", "rt", obs, recipe)
+        src += _frag_to_cluster("cluster_id", "t", "rt")
         src += """
     if rt > ms.max_time:
         ms.max_time = rt
@@ -1334,4 +1080,4 @@ class PlanCache:
 """
         return self._exec(
             sig, src,
-            "cluster_id, line, now, bank, table_line, tl3e, twbit", recipe)
+            "cluster_id, line, now, bank, table_line, tl3e, twbit")

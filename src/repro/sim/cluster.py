@@ -38,7 +38,7 @@ from repro.mem.cache import Cache, CacheLine
 from repro.obs.bus import (EV_ATOMIC, EV_FLUSH, EV_IFETCH, EV_INV, EV_LOAD,
                            EV_PROBE_CLEAN, EV_PROBE_DOWN, EV_PROBE_INV,
                            EV_STORE, ObsEvent)
-from repro.timing import BUCKET_CYCLES, _INV_BUCKET, Resource
+from repro.timing import Resource
 from repro.types import MessageType, PolicyKind
 
 
@@ -285,22 +285,8 @@ class Cluster:
         else:
             l1.misses += 1
         # Fused _l2_start + Cache.lookup: one bus/port reservation and
-        # one tag probe, with the same counters lookup() maintains. The
-        # port reservation is a hand-inlined Resource.acquire (the port
-        # occupancy is always a sub-bucket fraction of a cycle).
-        port = self.port
-        occ = self.port_occ
-        port.acquisitions += 1
-        port.total_busy += occ
-        used = port._used
-        bucket = int(now * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + occ > BUCKET_CYCLES:
-            bucket, filled = port._slot_after(bucket, occ)
-        used[bucket] = filled + occ
-        t = bucket * BUCKET_CYCLES
-        if now > t:
-            t = now
+        # one tag probe, with the same counters lookup() maintains.
+        t = self.port.acquire(now, self.port_occ)
         t += self.bus_latency + self.l2_latency
         l2 = self.l2
         l2bucket = l2.sets[line % l2.n_sets]
@@ -389,19 +375,7 @@ class Cluster:
                         if not bucket:
                             cache._occupied.pop(index, None)
         # Fused _l2_start + Cache.lookup, as in load().
-        port = self.port
-        occ = self.port_occ
-        port.acquisitions += 1
-        port.total_busy += occ
-        used = port._used
-        bucket = int(now * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + occ > BUCKET_CYCLES:
-            bucket, filled = port._slot_after(bucket, occ)
-        used[bucket] = filled + occ
-        t = bucket * BUCKET_CYCLES
-        if now > t:
-            t = now
+        t = self.port.acquire(now, self.port_occ)
         t += self.bus_latency + self.l2_latency
         l2 = self.l2
         l2bucket = l2.sets[line % l2.n_sets]

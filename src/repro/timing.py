@@ -138,10 +138,6 @@ class Resource:
             start = now
         return start
 
-    def backlog(self, now: float) -> float:
-        """Cycles of service already reserved in ``now``'s bucket."""
-        return self._used.get(int(now / BUCKET_CYCLES), 0.0)
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` cycles this resource spent busy."""
         if elapsed <= 0:

@@ -5,7 +5,7 @@ configured machines -- one with plan compilation enabled (the default),
 one with ``REPRO_PLANS=0`` -- and requires **bit-identical**
 observables: per-op return times and values, the full protocol-visible
 state snapshot, the L2->L3 message taxonomy, network/port/DRAM resource
-statistics (after :meth:`PlanCache.settle`), and the obs event stream.
+statistics, and the obs event stream.
 
 The generative half (hypothesis) explores random miss sequences over a
 small line pool spanning both heaps, from cores in different clusters,
@@ -71,10 +71,9 @@ def _record_obs(machine):
     return events
 
 
-def _drive(machine, ops):
-    """Apply an op sequence through the raw cluster interface."""
+def _drive(machine, ops, t=0.0):
+    """Apply an op sequence through the raw cluster interface from ``t``."""
     out = []
-    t = 0.0
     for kind, core, slot, value in ops:
         cluster, local = machine.cluster_of_core(core)
         addr = ADDRS[slot]
@@ -101,10 +100,8 @@ def _drive(machine, ops):
 
 
 def _resource_fingerprint(machine):
-    """Every statistic the deferred-stats layer is allowed to batch."""
+    """Every resource statistic, plus the protocol counters beside them."""
     ms = machine.memsys
-    if ms._plans is not None:
-        ms._plans.settle()
     net = ms.net
     def res(r):
         return (r.acquisitions, r.total_busy, sorted(r._used.items()))
@@ -153,6 +150,22 @@ class TestGenerativeEquality:
         planned, interp = _twin_machines(policy_name, monkeypatch)
         _assert_equal(planned, interp, _drive(planned, ops),
                       _drive(interp, ops))
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ops=ops_strategy)
+    def test_resource_statistics_match_after_every_op(self, ops,
+                                                      monkeypatch):
+        """Plan replay keeps every resource tally current: nothing is
+        batched up for a later phase barrier or stats collection."""
+        planned, interp = _twin_machines("cohesion", monkeypatch)
+        t = 0.0
+        for op in ops:
+            out = _drive(planned, [op], t)
+            assert out == _drive(interp, [op], t)
+            assert (_resource_fingerprint(planned)
+                    == _resource_fingerprint(interp))
+            t = out[-1][1]
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

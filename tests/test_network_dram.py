@@ -33,7 +33,7 @@ class TestNetwork:
 
     def test_round_trip(self, config):
         net = Network(config)
-        done = net.round_trip(0, 0.0, service=10.0)
+        done = net.to_cluster(0, net.to_l3(0, 0.0) + 10.0)
         assert done >= 2 * net.one_way_latency + 10.0
 
     def test_message_counting(self, config):

@@ -1,7 +1,11 @@
 """Bucketed contention resources."""
 
+import re
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.timing import BUCKET_CYCLES, Resource, ResourceGroup
 
 
@@ -28,12 +32,6 @@ class TestResource:
         r = Resource()
         r.acquire(10_000.0, 8.0)           # a far-future reservation
         assert r.acquire(100.0, 8.0) == 100.0
-
-    def test_backlog_reports_bucket_usage(self):
-        r = Resource()
-        r.acquire(0.0, 3.0)
-        assert r.backlog(1.0) == 3.0
-        assert r.backlog(BUCKET_CYCLES + 1) == 0.0
 
     def test_total_busy_accumulates(self):
         r = Resource()
@@ -210,3 +208,25 @@ class TestResourceGroup:
         g = ResourceGroup(2)
         assert g[0] is not g[1]
         assert g[0] is g.members[0]
+
+
+class TestSingleSourceOfTruth:
+    """``Resource.acquire`` is the only code that touches bucket state."""
+
+    PRIVATE = re.compile(r"\b(_used|_slot_after|_full_next|_INV_BUCKET)\b")
+
+    def test_no_module_outside_timing_reaches_into_buckets(self):
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "timing.py":
+                continue
+            for lineno, line in enumerate(
+                    path.read_text().splitlines(), 1):
+                match = self.PRIVATE.search(line)
+                if match:
+                    offenders.append(f"{path.relative_to(root)}:{lineno}: "
+                                     f"{match.group(1)}")
+        assert offenders == [], (
+            "bucket logic copied outside repro/timing.py; call "
+            "Resource.acquire instead:\n" + "\n".join(offenders))
