@@ -136,7 +136,8 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     :class:`~repro.cache.results.ResultCache` uses that store (with any
     worker). Hits fill their positions without running the worker; only
     the remaining cells are dispatched (serially or to the pool), and
-    their fresh results are stored back. Merge order and progress
+    their fresh results are stored back under the key computed for
+    the lookup (each cell is keyed once). Merge order and progress
     accounting are unchanged -- cached cells simply complete first.
     """
     cells = list(cells)
@@ -147,10 +148,11 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
 
     total = len(cells)
     results: List[object] = [_PENDING] * total
+    keys = [rcache.keyed(cell) for cell in cells]
     done = 0
     start = time.perf_counter()
     for index, cell in enumerate(cells):
-        stats = rcache.get(cell)
+        stats = rcache.get(cell, keys[index])
         if stats is not None:
             results[index] = stats
             done += 1
@@ -168,7 +170,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
                             min(n_jobs, len(pending)), sub_progress, worker)
         for index, stats in zip(pending, computed):
             results[index] = stats
-            rcache.put(cells[index], stats)
+            rcache.put(cells[index], stats, keys[index])
     return results
 
 

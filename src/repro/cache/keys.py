@@ -3,7 +3,8 @@
 A cache key is an ordinary dict of JSON-safe values; :func:`canonical`
 normalises enums to their values, dataclasses to field dicts, and
 tuples/sets to (sorted) lists, and :func:`digest` hashes the sorted,
-separator-free JSON rendering. Two keys digest equal iff they describe
+separator-free JSON rendering (:func:`key_digest` hashes a key that is
+already canonical). Two keys digest equal iff they describe
 the same configuration, independent of field order or container type.
 """
 
@@ -39,28 +40,51 @@ def cache_root() -> pathlib.Path:
     return base / "repro"
 
 
+#: Exact types :func:`canonical` returns unchanged at its first test.
+#: Subclasses (``IntEnum``, str-valued enums) are not in here: enum
+#: members must still map to their ``.value``.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def canonical(obj):
-    """Normalise ``obj`` into plain JSON-safe containers (or raise)."""
+    """Normalise ``obj`` into plain JSON-safe containers (or raise).
+
+    Plain scalars -- by far the commonest leaves -- are tested first,
+    then enums, containers, and dataclasses last.
+    """
+    if type(obj) in _SCALARS:
+        return obj
     if isinstance(obj, enum.Enum):
         return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: canonical(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(canonical(k)): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(canonical(v) for v in obj)
-    if obj is None or isinstance(obj, (str, int, float, bool)):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: canonical(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, (str, int, float, bool)):
         return obj
     raise TypeError(
         f"cannot canonicalise {type(obj).__name__!s} for cache keying")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+    return _key_json(canonical(obj))
+
+
+def _key_json(key) -> str:
+    return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
 
 def digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    return key_digest(canonical(obj))
+
+
+def key_digest(key) -> str:
+    """:func:`digest` of a ``key`` that is already canonical (such as
+    :func:`~repro.cache.results.cell_key` returns), without walking it
+    a second time."""
+    return hashlib.sha256(_key_json(key).encode()).hexdigest()

@@ -23,7 +23,8 @@ import pickle
 from typing import Optional, Union
 
 from repro.cache import srchash
-from repro.cache.keys import cache_enabled, cache_root, canonical, digest
+from repro.cache.keys import (cache_enabled, cache_root, canonical,
+                              key_digest)
 from repro.cache.results import ReuseStats
 from repro.errors import FreezeError
 from repro.mem.address import WORD_SHIFT
@@ -37,8 +38,9 @@ PROGRAM_STATS = ReuseStats()
 
 
 def program_key(name: str, workload, machine) -> dict:
-    """The canonical build key of one (workload, machine) pairing."""
-    return {
+    """The canonical build key of one (workload, machine) pairing
+    (already canonical, like :func:`~repro.cache.results.cell_key`)."""
+    return canonical({
         "schema": PROGRAM_SCHEMA,
         "format": FROZEN_FORMAT,
         "source": srchash.source_tree_hash(),
@@ -49,8 +51,8 @@ def program_key(name: str, workload, machine) -> dict:
         "force_hw_data": bool(workload.force_hw_data),
         "track_data": bool(machine.config.track_data),
         "n_cores": machine.config.n_cores,
-        "layout": canonical(machine.layout),
-    }
+        "layout": machine.layout,
+    })
 
 
 class ProgramStore:
@@ -63,10 +65,12 @@ class ProgramStore:
     def _path(self, fingerprint: str) -> pathlib.Path:
         return self.programs_dir / fingerprint[:2] / f"{fingerprint}.pkl"
 
-    def load(self, key: dict) -> Optional[FrozenProgram]:
-        """The stored artifact for ``key``, or None (never raises)."""
+    def load(self, fingerprint: str) -> Optional[FrozenProgram]:
+        """The artifact stored under ``fingerprint`` (the
+        :func:`~repro.cache.keys.key_digest` of its key), or None (never
+        raises)."""
         try:
-            with open(self._path(digest(key)), "rb") as fh:
+            with open(self._path(fingerprint), "rb") as fh:
                 payload = pickle.load(fh)
             if payload["schema"] != PROGRAM_SCHEMA:
                 raise ValueError("schema mismatch")
@@ -79,9 +83,11 @@ class ProgramStore:
             return None
         return frozen
 
-    def save(self, key: dict, frozen: FrozenProgram) -> bool:
-        """Store one artifact (atomically); False on any write failure."""
-        path = self._path(digest(key))
+    def save(self, key: dict, fingerprint: str,
+             frozen: FrozenProgram) -> bool:
+        """Store one artifact under ``fingerprint`` (as for :meth:`load`)
+        atomically; False on any write failure."""
+        path = self._path(fingerprint)
         payload = {"schema": PROGRAM_SCHEMA, "key": key, "frozen": frozen}
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -153,9 +159,10 @@ def build_program(name: str, workload, machine
     store = ProgramStore()
     try:
         key = program_key(name, workload, machine)
+        fingerprint = key_digest(key)
     except Exception:
         return workload.build(machine)
-    frozen = store.load(key)
+    frozen = store.load(fingerprint)
     if frozen is not None:
         frozen.apply_to(machine)
         PROGRAM_STATS.hits += 1
@@ -172,6 +179,6 @@ def build_program(name: str, workload, machine
         if words:
             frozen.initial_memory = {word << WORD_SHIFT: value
                                      for word, value in words.items()}
-    if store.save(key, frozen):
+    if store.save(key, fingerprint, frozen):
         PROGRAM_STATS.stores += 1
     return program

@@ -22,10 +22,10 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.cache import srchash
-from repro.cache.keys import cache_root, digest
+from repro.cache.keys import cache_root, canonical, key_digest
 from repro.coherence.messages import MessageCounters
 from repro.sim.stats import RunStats
 from repro.types import MessageType, SegmentClass
@@ -85,23 +85,38 @@ def cell_key(cell) -> dict:
     their knobs were spelled. ``config_extra`` keys starting with ``_``
     are runner directives (e.g. the bench harness's rep count), not
     simulation inputs, and are excluded.
-    """
-    from repro.cache.keys import canonical
 
+    The returned dict is already canonical (one :func:`canonical` walk),
+    so :func:`~repro.cache.keys.key_digest` hashes it as it stands.
+    """
     exp = cell.exp
     extra = {k: v for k, v in cell.config_extra
              if not str(k).startswith("_")}
-    return {
+    return canonical({
         "schema": RESULT_SCHEMA,
         "source": srchash.source_tree_hash(),
         "workload": cell.workload,
-        "policy": canonical(cell.policy),
+        "policy": cell.policy,
         "force_hw_data": bool(cell.force_hw_data),
         "scale": exp.scale,
         "seed": exp.seed,
         "ops_per_slice": exp.ops_per_slice,
-        "machine_config": canonical(exp.machine_config(**extra)),
-    }
+        "machine_config": exp.machine_config(**extra),
+    })
+
+
+class CellKey(NamedTuple):
+    """A cell's canonical key and its digest, computed together once.
+
+    Both are None for an unkeyable cell (malformed config, unknown
+    workload knobs).
+    """
+
+    key: Optional[dict]
+    fingerprint: Optional[str]
+
+
+_UNKEYABLE = CellKey(None, None)
 
 
 def encode_stats(stats: RunStats) -> dict:
@@ -166,23 +181,32 @@ class ResultCache:
         self.skipped = 0
         self.put_failures = 0
 
-    def fingerprint(self, cell) -> Optional[str]:
-        """Digest of the cell's key, or None when the cell cannot be
-        keyed (malformed config, unknown workload knobs) -- such cells
-        simply always run."""
+    def keyed(self, cell) -> CellKey:
+        """The cell's key and fingerprint, both None when the cell
+        cannot be keyed (malformed config, unknown workload knobs) --
+        such cells simply always run. Callers that both look a cell up
+        and store it pass this to :meth:`get` and :meth:`put` so the
+        key is built once."""
         try:
-            return digest(cell_key(cell))
+            key = cell_key(cell)
+            return CellKey(key, key_digest(key))
         except Exception:
-            return None
+            return _UNKEYABLE
+
+    def fingerprint(self, cell) -> Optional[str]:
+        """Digest of the cell's key, or None when it is unkeyable."""
+        return self.keyed(cell).fingerprint
 
     def _path(self, fingerprint: str) -> pathlib.Path:
         return self.results_dir / fingerprint[:2] / f"{fingerprint}.json"
 
-    def get(self, cell) -> Optional[RunStats]:
+    def get(self, cell, keyed: Optional[CellKey] = None
+            ) -> Optional[RunStats]:
         """The cell's cached stats, or None. Never raises: unreadable,
         truncated, or stale entries are misses; unkeyable cells count
-        as ``skipped`` so hit-rate denominators stay honest."""
-        fingerprint = self.fingerprint(cell)
+        as ``skipped`` so hit-rate denominators stay honest. ``keyed``
+        is the cell's :meth:`keyed`, when the caller already has it."""
+        fingerprint = (keyed or self.keyed(cell)).fingerprint
         if fingerprint is None:
             self.skipped += 1
             RESULT_STATS.skipped += 1
@@ -202,16 +226,17 @@ class ResultCache:
         RESULT_STATS.hits += 1
         return stats
 
-    def put(self, cell, stats) -> bool:
+    def put(self, cell, stats, keyed: Optional[CellKey] = None) -> bool:
         """Store one result (atomically). Returns False -- never raises
         -- when the cell is unkeyable or the write fails; either way the
-        failure is counted in ``put_failures``, never silent."""
+        failure is counted in ``put_failures``, never silent. ``keyed``
+        is as for :meth:`get`."""
         if not isinstance(stats, RunStats):
             return self._put_failed()
-        fingerprint = self.fingerprint(cell)
+        key, fingerprint = keyed or self.keyed(cell)
         if fingerprint is None:
             return self._put_failed()
-        entry = {"schema": RESULT_SCHEMA, "key": cell_key(cell)}
+        entry = {"schema": RESULT_SCHEMA, "key": key}
         entry.update(encode_stats(stats))
         path = self._path(fingerprint)
         try:

@@ -5,10 +5,13 @@ The pipeline one submission travels::
     submit -> cache probe -> single-flight -> admission -> pool -> cache put
       |hit: answer <10ms |join in-flight    |full: shed  |timeout/retry
 
-* **Cache probe** -- the content-addressed result cache
-  (:class:`~repro.cache.results.ResultCache`) is consulted first; a warm
-  entry answers without touching the queue. Unkeyable cells (fingerprint
-  ``None``) skip both the cache and single-flight -- they always run.
+* **Cache probe** -- the cell is keyed once
+  (:meth:`~repro.cache.results.ResultCache.keyed`); that one key and
+  fingerprint serve the cache lookup, single-flight, and the leader's
+  cache store. The content-addressed result cache is consulted first; a
+  warm entry answers without touching the queue. Unkeyable cells
+  (fingerprint ``None``) count as a ``skipped`` lookup and bypass
+  single-flight -- they always run.
 * **Single-flight** -- concurrent submissions with the same fingerprint
   coalesce onto one in-flight computation
   (:class:`~repro.serve.singleflight.SingleFlight`); only the leader
@@ -176,9 +179,11 @@ class JobManager:
             raise Draining("server is draining; resubmit elsewhere/later")
         self.metrics.count("submitted", SV_SUBMIT)
 
-        fingerprint = self.cache.fingerprint(cell) if self.cache else None
-        if fingerprint is not None:
-            stats = self.cache.get(cell)
+        keyed = fingerprint = None
+        if self.cache is not None:
+            keyed = self.cache.keyed(cell)
+            fingerprint = keyed.fingerprint
+            stats = self.cache.get(cell, keyed)
             if stats is not None:
                 latency = _ms_since(start)
                 self.metrics.count("hits", SV_HIT, fingerprint,
@@ -192,7 +197,7 @@ class JobManager:
             return JobOutcome("executed", stats, None, _ms_since(start))
 
         led, stats = await self.flights.run(
-            fingerprint, lambda: self._lead(cell))
+            fingerprint, lambda: self._lead(cell, keyed))
         latency = _ms_since(start)
         if led:
             self.metrics.count("executed", SV_EXEC, fingerprint,
@@ -203,12 +208,12 @@ class JobManager:
                            latency_ms=latency)
         return JobOutcome("coalesced", stats, fingerprint, latency)
 
-    async def _lead(self, cell: Cell):
+    async def _lead(self, cell: Cell, keyed):
         """Leader path: run for real, then publish to the cache *before*
         followers (and later submitters) are woken."""
         stats = await self._admit_and_run(cell)
         if self.cache is not None:
-            if self.cache.put(cell, stats):
+            if self.cache.put(cell, stats, keyed):
                 self.metrics.counters["cache_stores"] += 1
             else:
                 self.metrics.counters["cache_store_failures"] += 1

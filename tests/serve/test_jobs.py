@@ -105,6 +105,18 @@ class TestSingleFlightDedup:
         run(body())
         assert runner.runs == 1
 
+    def test_unkeyable_cell_counts_as_skipped_lookup(self, cache_dir):
+        # l2_bytes must be a multiple of the line size: MachineConfig
+        # rejects the override, so the cell has no key.
+        from repro.cache import RESULT_STATS
+
+        cache = ResultCache()
+        jobs = JobManager(_config(), runner=FakeRunner(), cache=cache)
+        outcome = run(jobs.submit(_cell(l2_bytes=1000)))
+        assert outcome.status == "executed" and outcome.fingerprint is None
+        assert cache.skipped == 1 and RESULT_STATS.skipped == 1
+        assert (cache.hits, cache.misses) == (0, 0)
+
     def test_unkeyable_cells_never_coalesce(self):
         runner = FakeRunner(delay_s=0.02)
         jobs = _manager(runner=runner, cache=False)

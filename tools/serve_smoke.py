@@ -7,8 +7,9 @@ service-level contract end to end:
 1. a *concurrent duplicate pair* of submissions executes exactly once
    (one ``executed`` + one ``coalesced``, byte-identical results, and
    the server's execution counter reads 1);
-2. a warm re-submission answers ``hit`` within the 10 ms server-side
-   budget;
+2. each of 20 warm re-submissions answers ``hit`` with the same result
+   within the 10 ms server-side budget (the median and max latency are
+   appended to ``$GITHUB_STEP_SUMMARY`` when that variable is set);
 3. SIGTERM drains gracefully (clean exit, "drained cleanly" on stderr).
 
 Writes the final ``/stats`` snapshot to ``--stats-out`` for upload as a
@@ -21,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,6 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 CELL = {"workload": "kmeans", "policy": "cohesion",
         "clusters": 2, "scale": 0.12}
 WARM_HIT_BUDGET_MS = 10.0
+WARM_HITS = 20
 
 
 def fail(reason: str) -> None:
@@ -72,7 +76,7 @@ def main() -> int:
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--jobs", "2", "--port-file", str(port_file)],
             cwd=ROOT, stderr=subprocess.PIPE, text=True,
-            env={**__import__("os").environ,
+            env={**os.environ,
                  "PYTHONPATH": "src",
                  "REPRO_CACHE_DIR": tmp + "/cache"})
         try:
@@ -111,16 +115,29 @@ def main() -> int:
                 fail(f"execution counter is {counters['executed']}, not 1")
             print("serve-smoke: duplicate pair coalesced onto 1 execution")
 
-            # 2. Warm re-hit under the latency budget.
-            status, record = client.submit_cell(CELL)
-            if status != 200 or record["status"] != "hit":
-                fail(f"warm re-submit answered {status}/{record['status']}")
-            if record["result"] != answers[0][1]["result"]:
-                fail("warm hit answered a different result")
-            if record["latency_ms"] >= WARM_HIT_BUDGET_MS:
-                fail(f"warm hit took {record['latency_ms']}ms "
-                     f"(budget {WARM_HIT_BUDGET_MS}ms)")
-            print(f"serve-smoke: warm hit in {record['latency_ms']}ms")
+            # 2. Every warm re-hit under the latency budget.
+            latencies = []
+            for attempt in range(1, WARM_HITS + 1):
+                status, record = client.submit_cell(CELL)
+                if status != 200 or record["status"] != "hit":
+                    fail(f"warm re-submit {attempt} answered "
+                         f"{status}/{record['status']}")
+                if record["result"] != answers[0][1]["result"]:
+                    fail(f"warm hit {attempt} answered a different result")
+                if record["latency_ms"] >= WARM_HIT_BUDGET_MS:
+                    fail(f"warm hit {attempt} took {record['latency_ms']}ms "
+                         f"(budget {WARM_HIT_BUDGET_MS}ms)")
+                latencies.append(record["latency_ms"])
+            median, worst = statistics.median(latencies), max(latencies)
+            print(f"serve-smoke: {WARM_HITS} warm hits, median "
+                  f"{median:.3f}ms, max {worst:.3f}ms")
+            summary = os.environ.get("GITHUB_STEP_SUMMARY")
+            if summary:
+                with open(summary, "a") as fh:
+                    fh.write(f"serve-smoke: {WARM_HITS} warm hits, server "
+                             f"latency median {median:.3f} ms, max "
+                             f"{worst:.3f} ms (budget {WARM_HIT_BUDGET_MS:g} "
+                             f"ms)\n")
 
             # Snapshot /stats for the artifact before shutting down.
             stats = client.stats()
