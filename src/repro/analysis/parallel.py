@@ -127,8 +127,8 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     returned list is ordered by input position regardless of completion
     order, which is what makes parallel sweeps deterministic. ``worker``
     must be a picklable module-level callable (the default simulates the
-    cell and returns its :class:`RunStats`; ``repro.bench`` substitutes a
-    worker that also times the cell and samples peak RSS).
+    cell and returns its :class:`RunStats`; tests substitute fake
+    workers).
 
     ``cache`` controls the content-addressed result cache: ``None``
     (default) consults it for the default worker when ``REPRO_CACHE``

@@ -82,16 +82,12 @@ def cell_key(cell) -> dict:
 
     Resolves the machine config exactly as :func:`run_workload` would,
     so two cells that simulate the same machine key identically however
-    their knobs were spelled. ``config_extra`` keys starting with ``_``
-    are runner directives (e.g. the bench harness's rep count), not
-    simulation inputs, and are excluded.
+    their knobs were spelled.
 
     The returned dict is already canonical (one :func:`canonical` walk),
     so :func:`~repro.cache.keys.key_digest` hashes it as it stands.
     """
     exp = cell.exp
-    extra = {k: v for k, v in cell.config_extra
-             if not str(k).startswith("_")}
     return canonical({
         "schema": RESULT_SCHEMA,
         "source": srchash.source_tree_hash(),
@@ -101,7 +97,7 @@ def cell_key(cell) -> dict:
         "scale": exp.scale,
         "seed": exp.seed,
         "ops_per_slice": exp.ops_per_slice,
-        "machine_config": exp.machine_config(**extra),
+        "machine_config": exp.machine_config(**dict(cell.config_extra)),
     })
 
 

@@ -23,7 +23,7 @@ Emit sites MUST guard with the bus's ``active`` flag and only build the
 
 ``active`` is a plain attribute flipped by subscribe/unsubscribe, so a
 disabled bus costs one attribute load and one branch per hook point --
-measured in the committed bench baseline (see docs/observability.md).
+measured by the interleaved perfbench A/B (see docs/observability.md).
 Because hooks only *observe*, an enabled bus never changes simulated
 timing or protocol state: runs are bit-identical with any subscriber
 set, including none.

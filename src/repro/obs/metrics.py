@@ -20,9 +20,9 @@ machine's bus and renders everything as a plain-JSON dict:
 
 Samplers only subscribe; they never touch simulated state, so an
 attached registry changes nothing but adds observation cost. For the
-zero-simulation-cost variant used by ``repro bench`` cells, see
-:func:`stats_metrics`, which derives a metrics block from a finished
-:class:`~repro.sim.stats.RunStats` instead of live events.
+zero-simulation-cost variant used by ``repro run --json`` and ``repro
+trace``, see :func:`stats_metrics`, which derives a metrics block from
+a finished :class:`~repro.sim.stats.RunStats` instead of live events.
 """
 
 from __future__ import annotations
@@ -338,10 +338,10 @@ class MetricsRegistry:
 def stats_metrics(stats) -> dict:
     """Zero-overhead metrics block derived from a finished run's stats.
 
-    Used for the per-cell ``metrics`` blocks in ``repro bench`` JSON and
-    ``repro run --json``: everything here comes from counters the
-    simulator maintains anyway, so emitting it costs nothing on the hot
-    path (the event bus stays disabled).
+    Used for the ``metrics`` block of ``repro run --json`` and the
+    ``stats`` block of a ``repro trace`` export: everything here comes
+    from counters the simulator maintains anyway, so emitting it costs
+    nothing on the hot path (the event bus stays disabled).
     """
     counters = stats.messages
     block = {

@@ -44,10 +44,6 @@ class TestFingerprint:
     def test_label_is_excluded(self, cache_dir):
         assert cell_key(_cell(label="a")) == cell_key(_cell(label="b"))
 
-    def test_runner_directives_are_excluded(self, cache_dir):
-        assert (cell_key(_cell(_bench_reps=3))
-                == cell_key(_cell(_bench_reps=9)))
-
     def test_config_change_changes_key(self, cache_dir):
         assert (cell_key(_cell(l2_bytes=8 * 1024))
                 != cell_key(_cell(l2_bytes=16 * 1024)))

@@ -166,6 +166,7 @@ class TestStatsMetrics:
         block = stats_metrics(stats)
         assert block["cycles"] == stats.cycles
         assert block["total_messages"] == stats.total_messages
+        assert "useful_wb_fraction" in block
         assert all(count for count in block["messages"].values())
         assert sum(block["dir_avg_entries_per_bank"]) == pytest.approx(
             block["dir_avg_entries"])

@@ -1,11 +1,12 @@
 """The disabled bus must not perturb the simulation at all.
 
-``tests/obs/golden_driver.json`` was generated by driving three pinned
-workload/policy cells on the code as it stood *before* any emit hook
-existed (see the generation note in this test). Every simulated counter
-must still match bit-for-bit: the emit hooks observe, they never act.
-A second guard runs the pinned bench matrix against the committed
-``benchmarks/baseline.json`` with the behavioral (exact-counter) grade.
+``tests/obs/golden_driver.json`` pins the simulated counters of a set
+of workload/policy cells. The first three were generated on the code as
+it stood *before* any emit hook existed (see the generation note in
+this test); the rest add a 16-cluster full-dataset kmeans cell, a
+``track_data`` cell and one small cell per protocol kind. Every
+simulated counter must still match bit-for-bit: the emit hooks observe,
+they never act, and no speed-up may change what is simulated.
 """
 
 import json
@@ -16,22 +17,38 @@ import pytest
 from repro.analysis.experiments import ExperimentConfig, run_workload
 from repro.cli import policy_from_name
 
-from tests.conftest import needs_numpy
-
 GOLDEN = pathlib.Path(__file__).with_name("golden_driver.json")
 
-#: The pinned driver cells; must match the golden file's keys.
-CELLS = (("kmeans", "cohesion", 2, 0.25),
-         ("heat", "swcc", 2, 0.25),
-         ("gjk", "hwcc-real", 2, 0.25))
+#: The pinned driver cells (workload, policy, clusters, scale,
+#: track_data); each must have an entry under :func:`_key` in the golden
+#: file.
+CELLS = (("kmeans", "cohesion", 2, 0.25, False),
+         ("heat", "swcc", 2, 0.25, False),
+         ("gjk", "hwcc-real", 2, 0.25, False),
+         ("kmeans", "cohesion", 16, 1.0, False),
+         ("kmeans", "swcc", 2, 0.5, False),
+         ("sobel", "cohesion", 2, 0.5, False),
+         ("heat", "swcc", 2, 0.5, False),
+         ("kmeans", "cohesion", 2, 0.5, True))
+
+
+def _key(workload, policy, clusters, scale, track_data):
+    return (f"{workload}/{policy}/c{clusters}/s{scale:g}"
+            + ("/track" if track_data else ""))
+
+
+def _cell_id(cell):
+    workload, policy, clusters, scale, track_data = cell
+    return (f"{workload}-{policy}-{clusters}-{scale}"
+            + ("-track" if track_data else ""))
 
 
 def _stats_dict(stats):
     """Canonical counter snapshot -- keep in sync with the golden file.
 
     To regenerate (only after an *intentional* behavior change): run the
-    same cells through this function and dump with ``indent=2,
-    sort_keys=True`` plus a trailing newline.
+    same cells through this function, key each by :func:`_key`, and dump
+    with ``indent=2, sort_keys=True`` plus a trailing newline.
     """
     return {
         "cycles": stats.cycles,
@@ -53,37 +70,17 @@ def _stats_dict(stats):
 
 
 class TestGoldenBitIdentity:
-    @pytest.mark.parametrize("workload,policy,clusters,scale", CELLS)
-    def test_cell_matches_golden(self, workload, policy, clusters, scale):
+    @pytest.mark.parametrize("workload,policy,clusters,scale,track_data",
+                             CELLS, ids=[_cell_id(cell) for cell in CELLS])
+    def test_cell_matches_golden(self, workload, policy, clusters, scale,
+                                 track_data):
         golden = json.loads(GOLDEN.read_text())
-        exp = ExperimentConfig(n_clusters=clusters, scale=scale)
+        exp = ExperimentConfig(n_clusters=clusters, scale=scale,
+                               track_data=track_data)
         stats, machine = run_workload(workload, policy_from_name(policy), exp)
-        assert _stats_dict(stats) == golden[f"{workload}/{policy}"]
+        assert _stats_dict(stats) == golden[_key(workload, policy, clusters,
+                                                 scale, track_data)]
         # The hot path never even built an event: nothing subscribed.
         assert machine.obs.active is False
         assert machine.obs.emitted == 0
 
-
-@needs_numpy
-class TestBenchBaseline:
-    def test_compare_against_committed_baseline(self):
-        from repro.bench import (compare_runs, default_baseline_path,
-                                 run_bench, select_specs)
-
-        baseline = json.loads(default_baseline_path().read_text())
-        # Two cheap cells are enough to exercise the compare machinery;
-        # the full matrix runs in CI. The wall threshold is deliberately
-        # huge -- this test grades *behavior* (cycles/ops/tasks must be
-        # exact), not machine speed.
-        doc = run_bench(select_specs("heat-swcc-c2,gjk-hwcc-c2"), jobs=1)
-        result = compare_runs(baseline, doc, threshold=20.0)
-        assert result.ok, format(result)
-
-    def test_bench_cells_carry_metrics(self):
-        from repro.bench import run_bench, select_specs
-
-        doc = run_bench(select_specs("heat-swcc-c2"), jobs=1)
-        metrics = doc["cells"]["heat-swcc-c2"]["metrics"]
-        assert metrics["cycles"] == doc["cells"]["heat-swcc-c2"]["cycles"]
-        assert metrics["total_messages"] > 0
-        assert "useful_wb_fraction" in metrics

@@ -312,65 +312,6 @@ class TestCommands:
         assert "8K" in text and "128K" in text
 
 
-class TestBenchCommand:
-    def test_list_cells(self, capsys):
-        code = main(["bench", "--list-cells"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "kmeans-cohesion-c16" in out
-
-    def test_bench_writes_json_and_table(self, tmp_path, capsys):
-        code = main(["bench", "--cells", "gjk", "--out", str(tmp_path),
-                     "--quiet"])
-        out = capsys.readouterr().out
-        assert code == 0
-        written = list(tmp_path.glob("BENCH_*.json"))
-        assert len(written) == 1
-        assert "gjk-hwcc-c2" in out and "wall s" in out
-
-    def test_bench_compare_clean_and_regression(self, tmp_path, capsys):
-        import json
-
-        assert main(["bench", "--cells", "gjk", "--out", str(tmp_path),
-                     "--quiet", "--update-baseline",
-                     "--baseline", str(tmp_path / "base.json")]) == 0
-        capsys.readouterr()
-        # A generous threshold always passes against a fresh reference...
-        code = main(["bench", "--cells", "gjk", "--out", str(tmp_path),
-                     "--quiet", "--compare", str(tmp_path / "base.json"),
-                     "--threshold", "1000"])
-        assert code == 0
-        assert "within" in capsys.readouterr().out
-        # ... and a doctored (10x slower) reference-to-now ratio fails.
-        base = json.loads((tmp_path / "base.json").read_text())
-        for cell in base["cells"].values():
-            cell["wall_s"] /= 1000.0
-        (tmp_path / "slow.json").write_text(json.dumps(base))
-        code = main(["bench", "--cells", "gjk", "--out", str(tmp_path),
-                     "--quiet", "--compare", str(tmp_path / "slow.json")])
-        assert code == 1
-        assert "SLOWER" in capsys.readouterr().out
-
-    def test_bench_summary_appended(self, tmp_path, capsys):
-        summary = tmp_path / "summary.md"
-        code = main(["bench", "--cells", "gjk", "--out", str(tmp_path),
-                     "--quiet", "--summary", str(summary)])
-        assert code == 0
-        assert "### repro bench" in summary.read_text()
-
-    def test_bench_unreadable_compare_is_usage_error(self, tmp_path, capsys):
-        code = main(["bench", "--cells", "gjk", "--out", str(tmp_path),
-                     "--quiet", "--compare", str(tmp_path / "missing.json")])
-        assert code == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_bench_unknown_cells_is_usage_error(self, tmp_path, capsys):
-        code = main(["bench", "--cells", "zebra", "--out", str(tmp_path),
-                     "--quiet"])
-        assert code == 2
-        assert "no cells match" in capsys.readouterr().err
-
-
 class TestFriendlyErrors:
     def test_bad_env_is_one_line_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "full")

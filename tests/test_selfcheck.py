@@ -196,10 +196,10 @@ class TestS002MeasuredPaths:
     def test_allowlist_excludes_host_side_tooling(self):
         findings = selfcheck.check_measured_paths()
         assert findings == []
-        # The harness genuinely reads the wall clock; the allowlist is
-        # what keeps the tree green, not an absence of clock reads.
-        harness = (selfcheck.SRC_ROOT / "bench" / "harness.py").read_text()
-        assert "perf_counter" in harness
+        # The sweep runner genuinely reads the wall clock; the allowlist
+        # is what keeps the tree green, not an absence of clock reads.
+        runner = (selfcheck.SRC_ROOT / "analysis" / "parallel.py").read_text()
+        assert "perf_counter" in runner
 
 
 GOOD_PRESETS = '''

@@ -26,9 +26,9 @@ S002  deterministic measured paths: simulation/analysis code must not
       makes the content-addressed result cache and the mc explorer's
       canonical states sound. Seeded generators (``random.Random(s)``,
       ``np.random.default_rng(s)``) are fine. Host-side tooling that
-      legitimately measures wall time (the bench harness, the parallel
-      sweep runner's progress meter, the mc explorer's elapsed budget,
-      the CLI) is allowlisted.
+      legitimately measures wall time (the parallel sweep runner's
+      progress meter, the mc explorer's elapsed budget, the CLI, the
+      job server) is allowlisted.
 
 S003  footprint-table coverage: every model-checker action kind --
       declared in ``mc/presets.py``'s ``ACTION_KINDS`` or constructed /
@@ -93,7 +93,6 @@ DISPATCH_HOOKS: Dict[str, tuple] = {
 #: Files (relative to src/repro) allowed to read wall clocks: host-side
 #: tooling whose own wall time is the measurement, never simulated state.
 WALLCLOCK_ALLOWLIST: Set[str] = {
-    "bench/harness.py",
     "analysis/parallel.py",
     "mc/explorer.py",
     "cli.py",
